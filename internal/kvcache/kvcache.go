@@ -58,6 +58,14 @@ func (t *table) privateTokens(blockSize int) int {
 	return t.tokens - t.shared*blockSize
 }
 
+// gpuBackup is 1 for a backup copy resident on GPU and 0 otherwise.
+func (t *table) gpuBackup() int {
+	if t.isBackup && t.loc == OnGPU {
+		return 1
+	}
+	return 0
+}
+
 // Stats aggregates allocator activity for the experiment harness
 // (Fig. 1a's swap counts come from here).
 type Stats struct {
@@ -140,11 +148,14 @@ type Manager struct {
 	cpuFree   int
 	tables    map[RequestID]*table
 	stats     Stats
+	// gpuBackups counts backups resident on GPU; dropBackups skips at 0.
+	gpuBackups int
 
-	// Prefix-cache state (see prefix.go); nil maps when disabled.
+	// Prefix-cache state (see prefix.go); nil map when disabled.
 	prefixMode bool
 	tiered     bool
-	prefix     map[pkey]*pblock
+	chains     map[uint64]*chain
+	lru        [2]lruHeap // per tier: chains by their eviction candidate
 	useSeq     uint64
 }
 
@@ -279,7 +290,8 @@ func (m *Manager) Grow(id RequestID, newTokens int) error {
 		return fmt.Errorf("kvcache: cannot shrink request %d from %d to %d tokens", id, t.tokens, newTokens)
 	}
 	need := m.BlocksFor(newTokens) - t.shared - t.blocks
-	if need > m.gpuFree && !m.ensureFree(need) {
+	// Like AllocateBackup, a backup never reclaims to grow.
+	if need > m.gpuFree && (t.isBackup || !m.ensureFree(need)) {
 		m.stats.FailedAllocs++
 		return ErrNoSpace
 	}
@@ -298,12 +310,15 @@ func (m *Manager) Release(id RequestID) error {
 	if !ok {
 		return ErrUnknownRequest
 	}
+	m.gpuBackups -= t.gpuBackup()
 	if t.loc == OnGPU {
 		m.gpuFree += t.blocks
 	} else {
 		m.cpuFree += t.blocks
 	}
-	m.derefShared(t)
+	if t.shared > 0 {
+		m.ref(m.chains[t.group], t.shared, -1) // the blocks stay cached
+	}
 	delete(m.tables, id)
 	return nil
 }
@@ -323,6 +338,7 @@ func (m *Manager) SwapOut(id RequestID) (tokens int, err error) {
 	}
 	m.gpuFree += t.blocks
 	m.cpuFree -= t.blocks
+	m.gpuBackups -= t.gpuBackup()
 	t.loc = Swapped
 	moved := t.privateTokens(m.blockSize)
 	m.stats.SwapOutEvents++
@@ -347,6 +363,7 @@ func (m *Manager) SwapIn(id RequestID) (tokens int, err error) {
 	m.gpuFree -= t.blocks
 	m.cpuFree += t.blocks
 	t.loc = OnGPU
+	m.gpuBackups += t.gpuBackup()
 	moved := t.privateTokens(m.blockSize)
 	m.stats.SwapInEvents++
 	m.stats.SwapInTokens += uint64(moved)
@@ -365,6 +382,7 @@ func (m *Manager) AllocateBackup(id RequestID, tokens int) error {
 		return err
 	}
 	m.tables[id].isBackup = true
+	m.gpuBackups++
 	return nil
 }
 
@@ -381,6 +399,7 @@ func (m *Manager) PromoteBackup(id RequestID) error {
 	if !ok {
 		return ErrUnknownRequest
 	}
+	m.gpuBackups -= t.gpuBackup()
 	t.isBackup = false
 	return nil
 }
@@ -416,8 +435,9 @@ func (m *Manager) Reset() {
 	m.gpuFree = m.gpuBlocks
 	m.cpuFree = m.cpuBlocks
 	m.tables = make(map[RequestID]*table)
+	m.gpuBackups = 0
 	if m.prefixMode {
-		m.prefix = make(map[pkey]*pblock)
+		m.EnablePrefixCache(m.tiered)
 	}
 }
 

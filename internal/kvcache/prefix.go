@@ -11,41 +11,94 @@
 // (block i's hash covers all earlier tokens) maps to the rule that a hit
 // is the longest fully-cached *run* of blocks starting at index 0.
 //
-// Shared blocks are refcounted: every resident request that acquired a
-// block holds a reference, and only refs==0 blocks are eviction
-// candidates. Eviction order under GPU pressure is
+// The pool holds one chain per group, its blocks stored by value and
+// indexed by block number: [0, nGPU) on the GPU, [nGPU, len) demoted to
+// the host tier. Chains never have holes, so a hit is min(len, wanted).
+// Blocks are refcounted by the resident requests that acquired them, and
+// only refs==0 blocks are eviction candidates. Under GPU pressure the
+// reclaim order is
 //
 //	backup copies → idle prefix blocks (LRU) → the engine's own
 //	preemption machinery (swap-out / recompute)
 //
-// so redundant state always yields before useful state, and cached
-// prefixes yield before any running request is disturbed. Recency stamps
-// are issued tail-first within a chain, which makes LRU eviction trim
-// chains strictly from the tail — a cached chain is never holed in the
-// middle.
+// so redundant state yields before useful state, and cached prefixes
+// before any running request is disturbed. LRU needs no scan, because
+// along every chain lastUse strictly decreases (an acquire restamps its
+// run [0, n) tail-first, newer than every other block) and refs never
+// increases (every holder references a run [0, n)). A chain's least
+// recently used idle block on a tier is therefore its last block there,
+// if that one is idle; a min-heap of chains per tier keyed by that
+// candidate yields the global LRU victim in O(log chains).
 //
 // In tiered mode an evicted-but-warm block is demoted to host memory
 // instead of dropped (an asynchronous write-back off the critical path,
 // so demotion is untimed). A later hit on a demoted block promotes it
 // back to GPU and reports the restored token span, which the engine
 // charges as a PCIe transfer over its host xfer.Link — the restore, which
-// IS on the critical path, is timed.
+// IS on the critical path, is timed. Dropping a GPU block drops the idle
+// demoted suffix behind it too, which keeps chains free of holes.
 package kvcache
 
-import "sort"
+import (
+	"container/heap"
+	"sort"
+)
 
-// pkey identifies one shared prefix block: the group stands in for the
-// content-hash chain, idx for the block's position in it.
-type pkey struct {
-	group uint64
-	idx   int
+// Tiers, indexing Manager.lru and the per-chain heap fields.
+const (
+	gpuTier = iota
+	hostTier
+)
+
+// block is one refcounted shared block; its tier follows from its index.
+type block struct {
+	refs    int
+	lastUse uint64 // monotone recency stamp; unique per block
 }
 
-// pblock is one refcounted shared block.
-type pblock struct {
-	refs    int
-	onGPU   bool   // false: demoted to the host tier
-	lastUse uint64 // monotone recency stamp; unique per block
+// chain is the cached run of one prefix group.
+type chain struct {
+	group  uint64
+	blocks []block
+	nGPU   int       // blocks[:nGPU] on GPU, blocks[nGPU:] on the host tier
+	pos    [2]int    // index in Manager.lru per tier; -1 when not a candidate
+	key    [2]uint64 // lastUse of the candidate per tier
+}
+
+// victim returns the index of c's eviction candidate on a tier — its last
+// block there, if idle — or -1.
+func (c *chain) victim(tier int) int {
+	lo, i := 0, c.nGPU-1
+	if tier == hostTier {
+		lo, i = c.nGPU, len(c.blocks)-1
+	}
+	if i < lo || c.blocks[i].refs > 0 {
+		return -1
+	}
+	return i
+}
+
+// lruHeap is a container/heap of chains by their candidate's lastUse.
+type lruHeap struct {
+	tier int
+	cs   []*chain
+}
+
+func (h *lruHeap) Len() int           { return len(h.cs) }
+func (h *lruHeap) Less(i, j int) bool { return h.cs[i].key[h.tier] < h.cs[j].key[h.tier] }
+func (h *lruHeap) Swap(i, j int) {
+	h.cs[i], h.cs[j] = h.cs[j], h.cs[i]
+	h.cs[i].pos[h.tier], h.cs[j].pos[h.tier] = i, j
+}
+func (h *lruHeap) Push(x any) {
+	c := x.(*chain)
+	c.pos[h.tier] = len(h.cs)
+	h.cs = append(h.cs, c)
+}
+func (h *lruHeap) Pop() any {
+	c := h.cs[len(h.cs)-1]
+	h.cs, c.pos[h.tier] = h.cs[:len(h.cs)-1], -1
+	return c
 }
 
 // PrefixAcquire reports what AllocatePrefixed found in the cache.
@@ -64,9 +117,9 @@ type PrefixAcquire struct {
 // with the tiered host backing store. Must be called before traffic;
 // managers without it behave exactly as before (no reclaim, no sharing).
 func (m *Manager) EnablePrefixCache(tiered bool) {
-	m.prefixMode = true
-	m.tiered = tiered
-	m.prefix = make(map[pkey]*pblock)
+	m.prefixMode, m.tiered = true, tiered
+	m.chains = make(map[uint64]*chain)
+	m.lru = [2]lruHeap{{tier: gpuTier}, {tier: hostTier}}
 }
 
 // PrefixEnabled reports whether EnablePrefixCache was called.
@@ -74,12 +127,9 @@ func (m *Manager) PrefixEnabled() bool { return m.prefixMode }
 
 // PrefixBlocks returns the cached shared blocks on (GPU, host) tiers.
 func (m *Manager) PrefixBlocks() (gpu, host int) {
-	for _, b := range m.prefix {
-		if b.onGPU {
-			gpu++
-		} else {
-			host++
-		}
+	for _, c := range m.chains {
+		gpu += c.nGPU
+		host += len(c.blocks) - c.nGPU
 	}
 	return gpu, host
 }
@@ -88,17 +138,11 @@ func (m *Manager) PrefixBlocks() (gpu, host int) {
 // currently cached (either tier), without acquiring anything — the
 // scheduler's view of the cache before it commits a dispatch.
 func (m *Manager) PeekPrefix(group uint64, prefixTokens int) int {
-	if !m.prefixMode || group == 0 {
+	c := m.chains[group]
+	if c == nil || prefixTokens <= 0 {
 		return 0
 	}
-	hit := 0
-	for i := 0; i < prefixTokens/m.blockSize; i++ {
-		if _, ok := m.prefix[pkey{group, i}]; !ok {
-			break
-		}
-		hit++
-	}
-	return hit * m.blockSize
+	return min(len(c.blocks), prefixTokens/m.blockSize) * m.blockSize
 }
 
 // AllocatePrefixed is Allocate for a request whose first prefixTokens
@@ -117,66 +161,51 @@ func (m *Manager) AllocatePrefixed(id RequestID, tokens int, group uint64, prefi
 	}
 	// Only whole blocks strictly inside the prompt are sharable: the
 	// request always computes at least its last token itself.
-	share := prefixTokens
-	if share > tokens-1 {
-		share = tokens - 1
-	}
-	nShare := share / m.blockSize
+	nShare := min(prefixTokens, tokens-1) / m.blockSize
 	if nShare <= 0 {
 		return PrefixAcquire{}, m.Allocate(id, tokens)
 	}
 	m.stats.PrefixLookups++
 
-	// The hit is the unbroken run of cached blocks from the chain head.
-	chain := make([]*pblock, 0, nShare)
-	restoreBlocks := 0
-	for i := 0; i < nShare; i++ {
-		b, ok := m.prefix[pkey{group, i}]
-		if !ok {
-			break
-		}
-		chain = append(chain, b)
-		if !b.onGPU {
-			restoreBlocks++
-		}
+	// Chains have no holes: the hit is the chain's length up to nShare.
+	c := m.chains[group]
+	hitBlocks, restoreBlocks := 0, 0
+	if c != nil {
+		hitBlocks = min(len(c.blocks), nShare)
+		restoreBlocks = max(hitBlocks-c.nGPU, 0)
 	}
-	hitBlocks := len(chain)
-	missBlocks := nShare - hitBlocks
 	privateBlocks := m.BlocksFor(tokens) - nShare
-	gpuNeed := privateBlocks + missBlocks + restoreBlocks
+	gpuNeed := privateBlocks + nShare - hitBlocks + restoreBlocks
 
 	// Acquire references before reclaiming so eviction cannot take the
 	// very blocks this request is hitting; roll back on failure.
-	for _, b := range chain {
-		b.refs++
-	}
+	m.ref(c, hitBlocks, 1)
 	if gpuNeed > m.gpuFree && !m.ensureFree(gpuNeed) {
-		for _, b := range chain {
-			b.refs--
-		}
+		m.ref(c, hitBlocks, -1)
 		m.stats.FailedAllocs++
 		return PrefixAcquire{}, ErrNoSpace
 	}
 	m.gpuFree -= gpuNeed
-	for _, b := range chain {
-		if !b.onGPU {
-			b.onGPU = true
-			m.cpuFree++
-			m.stats.PrefixRestores++
-			m.stats.PrefixRestoredTokens += uint64(m.blockSize)
-		}
+	m.cpuFree += restoreBlocks
+	m.stats.PrefixRestores += uint64(restoreBlocks)
+	m.stats.PrefixRestoredTokens += uint64(restoreBlocks * m.blockSize)
+	if c == nil {
+		c = &chain{group: group, pos: [2]int{-1, -1}}
+		m.chains[group] = c
 	}
 	// Publish missed blocks immediately: followers share them while this
 	// request is still prefilling, holding a reference the whole time.
-	for i := hitBlocks; i < nShare; i++ {
-		m.prefix[pkey{group, i}] = &pblock{refs: 1, onGPU: true}
+	for len(c.blocks) < nShare {
+		c.blocks = append(c.blocks, block{refs: 1})
 	}
-	// Stamp recency tail-first so LRU eviction trims chains from the
-	// tail: within a group, lastUse stays strictly decreasing in idx.
+	c.nGPU = max(c.nGPU, nShare)
+	// Stamp recency tail-first, keeping lastUse strictly decreasing
+	// along the chain.
 	for i := nShare - 1; i >= 0; i-- {
 		m.useSeq++
-		m.prefix[pkey{group, i}].lastUse = m.useSeq
+		c.blocks[i].lastUse = m.useSeq
 	}
+	m.settle(c)
 
 	m.tables[id] = &table{
 		tokens: tokens, blocks: privateBlocks, loc: OnGPU,
@@ -194,13 +223,36 @@ func (m *Manager) AllocatePrefixed(id RequestID, tokens int, group uint64, prefi
 	}, nil
 }
 
-// derefShared drops a releasing request's references on its shared
-// chain. Blocks stay cached at refs==0 until pressure evicts them.
-func (m *Manager) derefShared(t *table) {
-	for i := 0; i < t.shared; i++ {
-		if b, ok := m.prefix[pkey{t.group, i}]; ok && b.refs > 0 {
-			b.refs--
+// ref adds d to the refcounts of the first n blocks of c, if c exists.
+func (m *Manager) ref(c *chain, n, d int) {
+	if c == nil {
+		return
+	}
+	for i := range c.blocks[:n] {
+		c.blocks[i].refs += d
+	}
+	m.settle(c)
+}
+
+// settle refiles c in both LRU heaps after its blocks changed, and
+// forgets it once it is empty.
+func (m *Manager) settle(c *chain) {
+	for t := range m.lru {
+		h, i := &m.lru[t], c.victim(t)
+		if i >= 0 {
+			c.key[t] = c.blocks[i].lastUse
 		}
+		switch {
+		case i >= 0 && c.pos[t] >= 0:
+			heap.Fix(h, c.pos[t])
+		case i >= 0:
+			heap.Push(h, c)
+		case c.pos[t] >= 0:
+			heap.Remove(h, c.pos[t])
+		}
+	}
+	if len(c.blocks) == 0 {
+		delete(m.chains, c.group)
 	}
 }
 
@@ -229,6 +281,9 @@ func (m *Manager) ensureFree(need int) bool {
 // determinism) until need GPU blocks are free or none remain. Dropping a
 // backup is always safe: every consumer checks Has/IsBackup before use.
 func (m *Manager) dropBackups(need int) {
+	if m.gpuBackups == 0 {
+		return
+	}
 	var ids []RequestID
 	for id, t := range m.tables {
 		if t.isBackup && t.loc == OnGPU {
@@ -242,6 +297,7 @@ func (m *Manager) dropBackups(need int) {
 		}
 		m.gpuFree += m.tables[id].blocks
 		delete(m.tables, id)
+		m.gpuBackups--
 		m.stats.BackupReclaims++
 	}
 }
@@ -249,33 +305,23 @@ func (m *Manager) dropBackups(need int) {
 // evictPrefixBlocks removes up to n unreferenced prefix blocks from the
 // GPU, least recently used first. In tiered mode a victim is demoted to
 // host memory while space remains there (write-back is asynchronous and
-// untimed); otherwise it is dropped. Victim choice is deterministic:
-// lastUse stamps are unique.
+// untimed); otherwise it is dropped along with the demoted suffix behind
+// it. Victim choice is deterministic: lastUse stamps are unique.
 func (m *Manager) evictPrefixBlocks(n int) {
-	for n > 0 {
-		var vk pkey
-		var victim *pblock
-		for k, b := range m.prefix {
-			if b.refs > 0 || !b.onGPU {
-				continue
-			}
-			if victim == nil || b.lastUse < victim.lastUse {
-				victim, vk = b, k
-			}
-		}
-		if victim == nil {
-			return
-		}
+	for h := &m.lru[gpuTier]; n > 0 && h.Len() > 0; n-- {
+		c := h.cs[0]
 		m.gpuFree++
-		n--
 		if m.tiered && m.cpuFree > 0 {
 			m.cpuFree--
-			victim.onGPU = false
 			m.stats.PrefixDemotions++
 		} else {
-			delete(m.prefix, vk)
-			m.stats.PrefixEvictions++
+			host := len(c.blocks) - c.nGPU
+			m.cpuFree += host
+			m.stats.PrefixEvictions += uint64(1 + host)
+			c.blocks = c.blocks[:c.nGPU-1]
 		}
+		c.nGPU--
+		m.settle(c)
 	}
 }
 
@@ -289,23 +335,15 @@ func (m *Manager) ensureHostFree(need int) bool {
 	if !m.prefixMode {
 		return false
 	}
-	for need > m.cpuFree {
-		var vk pkey
-		var victim *pblock
-		for k, b := range m.prefix {
-			if b.refs > 0 || b.onGPU {
-				continue
-			}
-			if victim == nil || b.lastUse < victim.lastUse {
-				victim, vk = b, k
-			}
-		}
-		if victim == nil {
+	for h := &m.lru[hostTier]; need > m.cpuFree; {
+		if h.Len() == 0 {
 			return false
 		}
+		c := h.cs[0]
+		c.blocks = c.blocks[:len(c.blocks)-1]
 		m.cpuFree++
-		delete(m.prefix, vk)
 		m.stats.PrefixEvictions++
+		m.settle(c)
 	}
 	return true
 }
