@@ -123,6 +123,8 @@ type Instance struct {
 	assistActive []*Req // SBD pass in flight (empty when stream 2 idle)
 	assistBatch  perf.Batch
 
+	freePlans []*passPlan // applied plans, reused by formBatch
+
 	// Telemetry.
 	ComputeGauge metrics.Gauge // tensor-core utilization (Fig. 2)
 	BWGauge      metrics.Gauge // HBM bandwidth utilization (Fig. 2)
@@ -193,20 +195,25 @@ func (ins *Instance) AdmitDecode(r *Req) {
 // resume). KV must already be resident.
 func (ins *Instance) InsertRunning(r *Req) {
 	r.Phase = PhaseDecoding
-	ins.running = append(ins.running, r)
+	ins.joinRunning(r)
 	ins.Kick()
+}
+
+// joinRunning appends r to the running batch and marks its membership.
+func (ins *Instance) joinRunning(r *Req) {
+	r.runningOn = ins
+	ins.running = append(ins.running, r)
 }
 
 // RemoveRunning takes a request out of the running batch (migration
 // drain). Reports whether it was present.
 func (ins *Instance) RemoveRunning(r *Req) bool {
-	for i, x := range ins.running {
-		if x == r {
-			ins.running = append(ins.running[:i], ins.running[i+1:]...)
-			return true
-		}
+	if r.runningOn != ins {
+		return false
 	}
-	return false
+	r.runningOn = nil
+	ins.running = removeReq(ins.running, r)
+	return true
 }
 
 // ReleaseKV frees a request's blocks here and re-kicks the engine (freed
@@ -246,6 +253,9 @@ func (ins *Instance) Crash() []*Req {
 	collect(ins.assistQ)
 	collect(ins.assistActive)
 	collect(ins.admitQ)
+	for _, r := range ins.running {
+		r.runningOn = nil
+	}
 	collect(ins.running)
 	collect(ins.swapped)
 	ins.prefillQ, ins.assistQ, ins.assistActive = nil, nil, nil
@@ -448,6 +458,7 @@ func (ins *Instance) step() {
 	ins.maybeStartAssist()
 	batch, plan := ins.formBatch()
 	if batch.Empty() {
+		ins.recyclePlan(plan)
 		return
 	}
 	start := ins.sim.Now()
@@ -491,12 +502,25 @@ func (ins *Instance) step() {
 	})
 }
 
-// passPlan remembers what a pass will do so apply() can commit it.
+// passPlan remembers what a pass will do so apply() can commit it. Plans
+// are recycled through Instance.freePlans, so a steady pass allocates no
+// slices; each pass in flight (pipelined PP>1 prefills) holds its own.
 type passPlan struct {
 	prefillSegs []prefillSeg
 	decodes     []*Req
-	newDecodes  []*Req // first decode step this pass
-	batch       perf.Batch
+	newDecodes  []*Req            // first decode step this pass
+	prefill     []perf.PrefillSeg // backing array of the batch's Prefill
+}
+
+// recyclePlan empties the plan, dropping its request pointers so finished
+// requests are not kept alive, and returns it to the free list.
+func (ins *Instance) recyclePlan(plan *passPlan) {
+	clear(plan.prefillSegs)
+	clear(plan.decodes)
+	clear(plan.newDecodes)
+	plan.prefillSegs, plan.decodes = plan.prefillSegs[:0], plan.decodes[:0]
+	plan.newDecodes, plan.prefill = plan.newDecodes[:0], plan.prefill[:0]
+	ins.freePlans = append(ins.freePlans, plan)
 }
 
 type prefillSeg struct {
@@ -527,7 +551,7 @@ func (ins *Instance) admit() {
 		r := ins.admitQ[0]
 		ins.admitQ = ins.admitQ[1:]
 		r.Phase = PhaseDecoding
-		ins.running = append(ins.running, r)
+		ins.joinRunning(r)
 	}
 }
 
@@ -543,7 +567,7 @@ func (ins *Instance) trySwapIn() {
 		ins.swapped = ins.swapped[1:]
 		ins.stall(ins.swapTime(tokens), trace.KindSwapIn, r)
 		r.Phase = PhaseDecoding
-		ins.running = append(ins.running, r)
+		ins.joinRunning(r)
 	}
 }
 
@@ -580,8 +604,10 @@ func (ins *Instance) maybeStartAssist() {
 	cost := ins.cfg.CM.BatchCost(batch)
 	ins.ComputeGauge.AddInterval(start, start.Add(dur),
 		cost.FLOPs()/(dur.Seconds()*ins.cfg.CM.GPU.FLOPS()*float64(ins.cfg.CM.Place.GPUs())))
-	ins.cfg.Tracer.Add(ins.cfg.Name+"/stream2", trace.KindSBDPrefill, start, start.Add(dur),
-		fmt.Sprintf("%d reqs n=%d", len(ins.assistActive), batch.PrefillTokens()))
+	if ins.cfg.Tracer != nil {
+		ins.cfg.Tracer.Add(ins.cfg.Name+"/stream2", trace.KindSBDPrefill, start, start.Add(dur),
+			fmt.Sprintf("%d reqs n=%d", len(ins.assistActive), batch.PrefillTokens()))
+	}
 	done := ins.assistActive
 	epoch := ins.epoch
 	ins.sim.Schedule(dur, func() {
@@ -602,8 +628,12 @@ func (ins *Instance) maybeStartAssist() {
 
 // formBatch builds the next main-stream pass under FCFS with continuous
 // batching.
-func (ins *Instance) formBatch() (perf.Batch, passPlan) {
-	var plan passPlan
+func (ins *Instance) formBatch() (perf.Batch, *passPlan) {
+	plan := &passPlan{}
+	if n := len(ins.freePlans); n > 0 {
+		plan = ins.freePlans[n-1]
+		ins.freePlans = ins.freePlans[:n-1]
+	}
 	b := perf.Batch{DecodeReqs: len(ins.running)}
 	for _, r := range ins.running {
 		b.DecodeSumCtx += r.Ctx()
@@ -616,17 +646,17 @@ func (ins *Instance) formBatch() (perf.Batch, passPlan) {
 	if ins.cfg.AllowPrefill {
 		chunked := ins.cfg.ChunkSize > 0 && (ins.cfg.AlwaysChunk || len(ins.running) > 0)
 		if chunked {
-			ins.fillChunked(&b, &plan)
+			ins.fillChunked(plan)
 		} else {
-			ins.fillWholePrompts(&b, &plan)
+			ins.fillWholePrompts(plan)
 		}
+		b.Prefill = plan.prefill
 	}
-	plan.batch = b
 	return b, plan
 }
 
 // fillWholePrompts batches entire prompts FCFS up to MaxPrefillTokens.
-func (ins *Instance) fillWholePrompts(b *perf.Batch, plan *passPlan) {
+func (ins *Instance) fillWholePrompts(plan *passPlan) {
 	budget := ins.cfg.MaxPrefillTokens
 	for _, r := range ins.prefillQ {
 		if r.inPass {
@@ -642,8 +672,7 @@ func (ins *Instance) fillWholePrompts(b *perf.Batch, plan *passPlan) {
 		if rem := r.PrefillRemaining(); rem < n {
 			n = rem // a prefix-cache hit during allocation shrank the prefill
 		}
-		seg := perf.PrefillSeg{NewTokens: n, CtxBefore: r.PrefillDone}
-		b.Prefill = append(b.Prefill, seg)
+		plan.prefill = append(plan.prefill, perf.PrefillSeg{NewTokens: n, CtxBefore: r.PrefillDone})
 		plan.prefillSegs = append(plan.prefillSegs, prefillSeg{r: r, tokens: n})
 		r.inPass = true
 		ins.startPrefillOnce(r)
@@ -655,7 +684,7 @@ func (ins *Instance) fillWholePrompts(b *perf.Batch, plan *passPlan) {
 }
 
 // fillChunked batches up to ChunkSize new prefill tokens FCFS.
-func (ins *Instance) fillChunked(b *perf.Batch, plan *passPlan) {
+func (ins *Instance) fillChunked(plan *passPlan) {
 	budget := ins.cfg.ChunkSize
 	for _, r := range ins.prefillQ {
 		if budget <= 0 {
@@ -671,7 +700,7 @@ func (ins *Instance) fillChunked(b *perf.Batch, plan *passPlan) {
 		if n > budget {
 			n = budget
 		}
-		b.Prefill = append(b.Prefill, perf.PrefillSeg{NewTokens: n, CtxBefore: r.PrefillDone})
+		plan.prefill = append(plan.prefill, perf.PrefillSeg{NewTokens: n, CtxBefore: r.PrefillDone})
 		plan.prefillSegs = append(plan.prefillSegs, prefillSeg{r: r, tokens: n})
 		r.inPass = true
 		ins.startPrefillOnce(r)
@@ -731,7 +760,7 @@ func (ins *Instance) startPrefillOnce(r *Req) {
 }
 
 // apply commits a completed pass.
-func (ins *Instance) apply(plan passPlan) {
+func (ins *Instance) apply(plan *passPlan) {
 	// Prefill progress.
 	for _, seg := range plan.prefillSegs {
 		seg.r.inPass = false
@@ -747,7 +776,7 @@ func (ins *Instance) apply(plan passPlan) {
 	// Decode progress.
 	for _, r := range plan.decodes {
 		r.inPass = false
-		if !ins.contains(r) {
+		if r.runningOn != ins {
 			// Evicted or drained (migration) after this pass was formed —
 			// possibly already running elsewhere. Its slot's token is lost.
 			continue
@@ -764,6 +793,7 @@ func (ins *Instance) apply(plan passPlan) {
 		}
 		ins.growOrPreempt(r)
 	}
+	ins.recyclePlan(plan)
 	ins.sampleCounters()
 }
 
@@ -809,16 +839,6 @@ func (ins *Instance) finishPrefill(r *Req) {
 	ins.AdmitDecode(r)
 }
 
-// contains reports whether r is currently in this instance's running batch.
-func (ins *Instance) contains(r *Req) bool {
-	for _, x := range ins.running {
-		if x == r {
-			return true
-		}
-	}
-	return false
-}
-
 func (ins *Instance) dequeuePrefill(r *Req) {
 	for i, x := range ins.prefillQ {
 		if x == r {
@@ -831,8 +851,12 @@ func (ins *Instance) dequeuePrefill(r *Req) {
 // growOrPreempt extends r's KV by one token, evicting low-priority
 // requests (LIFO — latest admitted first, vLLM's policy) until it fits.
 func (ins *Instance) growOrPreempt(r *Req) {
+	kv := ins.cfg.KV
+	if r.kvm != kv || !r.kvh.Live() {
+		r.kvm, r.kvh = kv, kv.Handle(r.KVID())
+	}
 	for {
-		err := ins.cfg.KV.Grow(r.KVID(), r.Ctx())
+		err := kv.GrowHandle(r.kvh, r.KVID(), r.Ctx())
 		if err == nil {
 			return
 		}
@@ -910,7 +934,9 @@ func (ins *Instance) stall(d sim.Duration, kind trace.Kind, r *Req) {
 	}
 	ins.stallUntil = base.Add(d)
 	ins.SwapStall += d
-	ins.cfg.Tracer.Add(ins.cfg.Name, kind, base, ins.stallUntil, fmt.Sprintf("req%d", r.W.ID))
+	if ins.cfg.Tracer != nil {
+		ins.cfg.Tracer.Add(ins.cfg.Name, kind, base, ins.stallUntil, fmt.Sprintf("req%d", r.W.ID))
+	}
 }
 
 // recordUtilization charges the pass to the Fig. 2 gauges.
@@ -925,7 +951,7 @@ func (ins *Instance) recordUtilization(b perf.Batch, start sim.Time, dur sim.Dur
 	ins.BWGauge.AddInterval(start, end, cost.IOBytes()/(dur.Seconds()*ins.cfg.CM.GPU.BandwidthBytes()*gpus))
 }
 
-func (ins *Instance) tracePass(b perf.Batch, plan passPlan, start sim.Time, dur sim.Duration) {
+func (ins *Instance) tracePass(b perf.Batch, plan *passPlan, start sim.Time, dur sim.Duration) {
 	if ins.cfg.Tracer == nil {
 		return
 	}

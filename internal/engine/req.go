@@ -94,6 +94,13 @@ type Req struct {
 	// not yet applied — pipelined prefill passes overlap, and a request
 	// must never be in two passes at once.
 	inPass bool
+	// runningOn is the instance whose running batch holds the request
+	// (nil when in none): batch membership without a scan.
+	runningOn *Instance
+	// kvm/kvh cache the request's block-table handle on manager kvm, so a
+	// decode step grows its KV without a map lookup.
+	kvm *kvcache.Manager
+	kvh kvcache.Handle
 }
 
 // NewReq wraps a workload request.

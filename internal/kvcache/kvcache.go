@@ -50,6 +50,9 @@ type table struct {
 	// prefix group (see prefix.go). Zero for plain allocations.
 	group  uint64
 	shared int
+	// dead marks a table the manager has dropped (Release, Reset,
+	// dropBackups), so a Handle to it is stale.
+	dead bool
 }
 
 // privateTokens is the token span held in the request's own blocks, i.e.
@@ -283,6 +286,30 @@ func (m *Manager) Grow(id RequestID, newTokens int) error {
 	if !ok {
 		return ErrUnknownRequest
 	}
+	return m.grow(t, id, newTokens)
+}
+
+// Handle refers to one request's block table without a map lookup. It
+// stays live until the manager drops that table; a stale handle is never
+// reused, even when the id is allocated again.
+type Handle struct{ t *table }
+
+// Handle returns a handle to id's current table (stale if id has none).
+func (m *Manager) Handle(id RequestID) Handle { return Handle{m.tables[id]} }
+
+// Live reports whether the handle's table is still held by its manager.
+func (h Handle) Live() bool { return h.t != nil && !h.t.dead }
+
+// GrowHandle is Grow through a handle taken from this manager for id. A
+// stale handle falls back to Grow, so the result is always Grow's.
+func (m *Manager) GrowHandle(h Handle, id RequestID, newTokens int) error {
+	if !h.Live() {
+		return m.Grow(id, newTokens)
+	}
+	return m.grow(h.t, id, newTokens)
+}
+
+func (m *Manager) grow(t *table, id RequestID, newTokens int) error {
 	if t.loc != OnGPU {
 		return fmt.Errorf("kvcache: request %d is swapped out", id)
 	}
@@ -319,6 +346,7 @@ func (m *Manager) Release(id RequestID) error {
 	if t.shared > 0 {
 		m.ref(m.chains[t.group], t.shared, -1) // the blocks stay cached
 	}
+	t.dead = true
 	delete(m.tables, id)
 	return nil
 }
@@ -434,6 +462,9 @@ func (m *Manager) BackupBlocks() int {
 func (m *Manager) Reset() {
 	m.gpuFree = m.gpuBlocks
 	m.cpuFree = m.cpuBlocks
+	for _, t := range m.tables {
+		t.dead = true
+	}
 	m.tables = make(map[RequestID]*table)
 	m.gpuBackups = 0
 	if m.prefixMode {

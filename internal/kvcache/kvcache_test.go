@@ -2,6 +2,7 @@ package kvcache
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -334,5 +335,60 @@ func TestPropertyConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHandleGoesStale: a handle dies with its table. After Release, Reset,
+// a backup reclaim (dropBackups) and a re-allocation of the same id, the
+// old handle is stale, GrowHandle through it returns exactly what Grow
+// returns on an identical manager, and the dropped table never grows.
+func TestHandleGoesStale(t *testing.T) {
+	drops := []struct {
+		name   string
+		backup bool
+		drop   func(m *Manager)
+	}{
+		{"release", false, func(m *Manager) { _ = m.Release(1) }},
+		{"reset", false, func(m *Manager) { m.Reset() }},
+		{"dropBackups", true, func(m *Manager) { _ = m.Allocate(2, 9*16) }},
+		{"reallocate", false, func(m *Manager) { _ = m.Release(1); _ = m.Allocate(1, 20) }},
+	}
+	for _, c := range drops {
+		t.Run(c.name, func(t *testing.T) {
+			m, ref := mustMgr(t, 10*16, 0), mustMgr(t, 10*16, 0)
+			for _, x := range []*Manager{m, ref} {
+				x.EnablePrefixCache(false) // backups are reclaimed only in prefix mode
+				alloc := x.Allocate
+				if c.backup {
+					alloc = x.AllocateBackup
+				}
+				if err := alloc(1, 32); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h := m.Handle(1)
+			if !h.Live() || m.GrowHandle(h, 1, 33) != nil || ref.Grow(1, 33) != nil {
+				t.Fatal("fresh handle should be live and grow")
+			}
+			c.drop(m)
+			c.drop(ref)
+			if h.Live() {
+				t.Fatal("handle still live after its table was dropped")
+			}
+			for _, tokens := range []int{40, 64, 200} {
+				err, want := m.GrowHandle(h, 1, tokens), ref.Grow(1, tokens)
+				if fmt.Sprint(err) != fmt.Sprint(want) || m.Tokens(1) != ref.Tokens(1) ||
+					m.FreeBlocks() != ref.FreeBlocks() || m.Stats() != ref.Stats() {
+					t.Fatalf("GrowHandle(%d) = %v (tokens %d, free %d), Grow = %v (tokens %d, free %d)",
+						tokens, err, m.Tokens(1), m.FreeBlocks(), want, ref.Tokens(1), ref.FreeBlocks())
+				}
+			}
+			if h.t.tokens != 33 {
+				t.Fatalf("dead table grew to %d tokens", h.t.tokens)
+			}
+			if m.Handle(1) == h {
+				t.Fatal("re-allocated id reused the stale handle")
+			}
+		})
 	}
 }

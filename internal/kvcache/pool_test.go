@@ -150,6 +150,7 @@ func FuzzPrefixPool(f *testing.F) {
 			m.EnablePrefixCache(cfg&0x20 != 0)
 			r.enablePrefixCache(cfg&0x20 != 0)
 		}
+		var handles [6]Handle // per id, refreshed only when an op asks
 		for ops := data[1:]; len(ops) >= 4; ops = ops[4:] {
 			id, tokens := RequestID(ops[1]%6), 1+int(ops[2])/2
 			group, prefix := uint64(ops[3]%4), int(ops[3]>>2)*4
@@ -163,7 +164,15 @@ func FuzzPrefixPool(f *testing.F) {
 				want, rerr = r.allocatePrefixed(id, tokens, group, prefix)
 			case 5, 6:
 				grow := m.Tokens(id) + int(ops[2]%40)
-				err, rerr = m.Grow(id, grow), r.grow(id, grow)
+				if ops[0]&0x80 == 0 {
+					err = m.Grow(id, grow)
+				} else { // through a cached, possibly stale handle
+					if ops[1]&0x80 != 0 {
+						handles[id] = m.Handle(id)
+					}
+					err = m.GrowHandle(handles[id], id, grow)
+				}
+				rerr = r.grow(id, grow)
 			case 7, 8:
 				err, rerr = m.Release(id), r.release(id)
 			case 9:

@@ -295,7 +295,9 @@ func (m *Manager) dropBackups(need int) {
 		if m.gpuFree >= need {
 			return
 		}
-		m.gpuFree += m.tables[id].blocks
+		t := m.tables[id]
+		m.gpuFree += t.blocks
+		t.dead = true
 		delete(m.tables, id)
 		m.gpuBackups--
 		m.stats.BackupReclaims++

@@ -22,7 +22,6 @@ package perf
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"windserve/internal/gpu"
 	"windserve/internal/model"
@@ -150,10 +149,8 @@ func DecodeOnly(reqs, sumCtx int) Batch {
 }
 
 // CostModel computes iteration times for one (model, GPU, placement).
-//
-// IterTime results are memoized by batch signature, so the configuration
-// fields must not be mutated after the first IterTime call — build a new
-// model (they are cheap) instead of editing one in flight.
+// New derives per-layer constants from Cfg, so build a new model rather
+// than editing Cfg in place.
 type CostModel struct {
 	Cfg    model.Config
 	GPU    gpu.Spec
@@ -161,60 +158,9 @@ type CostModel struct {
 	TPLink gpu.LinkSpec // link used for TP collectives and PP sends
 	P      Params
 
-	iterCache iterCache
-}
-
-// iterKey is the cacheable signature of a forward pass. Decode-only
-// batches (which repeat shapes constantly — the same running set decodes
-// for hundreds of iterations) and single-segment prefill/hybrid batches
-// cover virtually every engine call; multi-segment prefill passes bypass
-// the cache rather than hashing a slice.
-type iterKey struct {
-	hasPrefill           bool
-	newTokens, ctxBefore int32
-	decodeReqs, sumCtx   int32
-}
-
-// iterKeyFor extracts a key, reporting whether the batch is cacheable.
-func iterKeyFor(b Batch) (iterKey, bool) {
-	if len(b.Prefill) > 1 {
-		return iterKey{}, false
-	}
-	k := iterKey{decodeReqs: int32(b.DecodeReqs), sumCtx: int32(b.DecodeSumCtx)}
-	if len(b.Prefill) == 1 {
-		k.hasPrefill = true
-		k.newTokens = int32(b.Prefill[0].NewTokens)
-		k.ctxBefore = int32(b.Prefill[0].CtxBefore)
-	}
-	return k, true
-}
-
-// iterCacheMax bounds the memo; past it the map is reset wholesale (shapes
-// cluster tightly, so a full cache means the run moved to a new regime).
-const iterCacheMax = 1 << 12
-
-// iterCache memoizes IterTime. The mutex makes a model safe to share
-// across the parallel experiment runner's workers, though runs normally
-// build their own.
-type iterCache struct {
-	mu sync.Mutex
-	m  map[iterKey]sim.Duration
-}
-
-func (c *iterCache) get(k iterKey) (sim.Duration, bool) {
-	c.mu.Lock()
-	t, ok := c.m[k]
-	c.mu.Unlock()
-	return t, ok
-}
-
-func (c *iterCache) put(k iterKey, t sim.Duration) {
-	c.mu.Lock()
-	if c.m == nil || len(c.m) >= iterCacheMax {
-		c.m = make(map[iterKey]sim.Duration)
-	}
-	c.m[k] = t
-	c.mu.Unlock()
+	// Derived from Cfg by New: hidden size, KV/hidden width ratio, and
+	// one layer's attention and FFN weight bytes.
+	h, kvRatio, wAttn, wFFN float64
 }
 
 // New builds a cost model, validating the placement.
@@ -228,7 +174,9 @@ func New(cfg model.Config, g gpu.Spec, place Placement, tpLink gpu.LinkSpec, p P
 	if p.ComputeEff <= 0 || p.BWEff <= 0 {
 		return nil, fmt.Errorf("perf: efficiencies must be positive, got %+v", p)
 	}
-	return &CostModel{Cfg: cfg, GPU: g, Place: place, TPLink: tpLink, P: p}, nil
+	h, wb, frac := float64(cfg.Hidden), cfg.WeightBytesPerLayer(), attnWeightFrac(cfg)
+	return &CostModel{Cfg: cfg, GPU: g, Place: place, TPLink: tpLink, P: p,
+		h: h, kvRatio: float64(cfg.KVDim()) / h, wAttn: wb * frac, wFFN: wb * (1 - frac)}, nil
 }
 
 // MustNew is New that panics on error; for tests and static tables.
@@ -243,8 +191,7 @@ func MustNew(cfg model.Config, g gpu.Spec, place Placement, tpLink gpu.LinkSpec,
 // layerCost accumulates the Table 1 FLOPs/IO of one layer for the batch.
 func (m *CostModel) layerCost(b Batch) model.LayerCost {
 	var total model.LayerCost
-	h := float64(m.Cfg.Hidden)
-	kvRatio := float64(m.Cfg.KVDim()) / h
+	h, kvRatio := m.h, m.kvRatio
 	for _, s := range b.Prefill {
 		lc := m.Cfg.PrefillLayerCost(s.NewTokens)
 		if s.CtxBefore > 0 {
@@ -264,13 +211,13 @@ func (m *CostModel) layerCost(b Batch) model.LayerCost {
 		lc := m.Cfg.DecodeLayerCost(b.DecodeReqs, b.DecodeSumCtx)
 		total.AttnFLOPs += lc.AttnFLOPs
 		total.FFNFLOPs += lc.FFNFLOPs
-		total.AttnIOBytes += lc.AttnIOBytes - m.Cfg.WeightBytesPerLayer()*attnWeightFrac(m.Cfg)
-		total.FFNIOBytes += lc.FFNIOBytes - m.Cfg.WeightBytesPerLayer()*(1-attnWeightFrac(m.Cfg))
+		total.AttnIOBytes += lc.AttnIOBytes - m.wAttn
+		total.FFNIOBytes += lc.FFNIOBytes - m.wFFN
 	}
 	// One weight read per layer per pass, however many segments share it.
 	if !b.Empty() {
-		total.AttnIOBytes += m.Cfg.WeightBytesPerLayer() * attnWeightFrac(m.Cfg)
-		total.FFNIOBytes += m.Cfg.WeightBytesPerLayer() * (1 - attnWeightFrac(m.Cfg))
+		total.AttnIOBytes += m.wAttn
+		total.FFNIOBytes += m.wFFN
 		// Activation traffic: read+write of token activations.
 		act := 4 * float64(b.Tokens()) * h
 		total.AttnIOBytes += act
@@ -309,21 +256,6 @@ func (m *CostModel) IterTime(b Batch) sim.Duration {
 	if b.Empty() {
 		return 0
 	}
-	key, cacheable := iterKeyFor(b)
-	if cacheable {
-		if t, ok := m.iterCache.get(key); ok {
-			return t
-		}
-	}
-	t := m.iterTime(b)
-	if cacheable {
-		m.iterCache.put(key, t)
-	}
-	return t
-}
-
-// iterTime is the uncached roofline computation behind IterTime.
-func (m *CostModel) iterTime(b Batch) sim.Duration {
 	lc := m.layerCost(b)
 	lt := m.layerTime(lc, b.Tokens())
 	total := lt * sim.Duration(m.Cfg.Layers)

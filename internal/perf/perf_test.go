@@ -352,3 +352,72 @@ func TestPlacementString(t *testing.T) {
 		t.Errorf("String = %q", s)
 	}
 }
+
+// batchShapes is a mix of the shapes engines actually submit: decode-only
+// at varying sizes, whole-prompt prefills, chunked-prefill segments, and
+// hybrid passes, one with two prefill segments.
+func batchShapes() []Batch {
+	return []Batch{
+		DecodeOnly(1, 512),
+		DecodeOnly(16, 16*2048),
+		DecodeOnly(64, 64*900),
+		PrefillOnly(128),
+		PrefillOnly(2048),
+		{Prefill: []PrefillSeg{{NewTokens: 512, CtxBefore: 1024}}},
+		{Prefill: []PrefillSeg{{NewTokens: 256}}, DecodeReqs: 12, DecodeSumCtx: 12 * 700},
+		{Prefill: []PrefillSeg{{NewTokens: 128}, {NewTokens: 384, CtxBefore: 512}}, DecodeReqs: 4, DecodeSumCtx: 3000},
+	}
+}
+
+// TestCostModelGolden pins the roofline to the bit: IterTime, the
+// BatchCost FLOPs/IO totals, and the SBD rate product against a 512-token
+// prefill stream, for every shape on two placements. The values are the
+// IEEE-754 bits the model has always produced, so constants New derives
+// once must enter the same float expressions in the same order.
+func TestCostModelGolden(t *testing.T) {
+	golden := [][4]uint64{
+		{0x3f8a9909f9cece3b, 0x4217d40000000000, 0x4217d46400000000, 0x3fe914eb095f77fb},
+		{0x3f9532be9cfa519c, 0x4259000000000000, 0x42283b2000000000, 0x3fe8331de4fcd424},
+		{0x3f9b8186fd176a42, 0x42781fc800000000, 0x4230dec000000000, 0x3fe698ef2ccfa762},
+		{0x3f901e7917cfe85f, 0x4287890000000000, 0x4217a20000000000, 0x3fe0ce3a47b36b70},
+		{0x3fc6affd5f8d732a, 0x42c9000000000000, 0x421a900000000001, 0x3fe0ce3a47b36b70},
+		{0x3fa8847a2f68d758, 0x42a89c0000000000, 0x4218380000000001, 0x3fe0ce3a47b36b70},
+		{0x3fa0b8c8b2cea4ff, 0x4298c1a8a0000000, 0x421e415000000000, 0x3fe0ce3a47b36b70},
+		{0x3fadb0d3ff3687ca, 0x42a82984f8000000, 0x421a838000000000, 0x3fe0ce3a47b36b70},
+		{0x3fa7f18e10b44868, 0x423fea0000000000, 0x423fea5000000000, 0x3fe91bdc911ffd64},
+		{0x3fa9a122afd28018, 0x4280040000000000, 0x4241328000000000, 0x3fe778375e5750b6},
+		{0x3fab3aecfd9d8cb2, 0x429ff19400000000, 0x42422c8000000000, 0x3fe3a74074d8d39e},
+		{0x3faedc1859db78aa, 0x42aff40000000000, 0x4240040000000000, 0x3fe0d2e16d53022d},
+		{0x3fec5cca0e54c41e, 0x42f0900000000000, 0x4241300000000000, 0x3fe0d2e16d53022d},
+		{0x3fcccc3f5ac01f2a, 0x42d0680000000000, 0x4240400000000000, 0x3fe0d2e16d53022d},
+		{0x3fc2d78e2bcb9c0c, 0x42c0c39208000000, 0x42406be800000000, 0x3fe0d2e16d53022d},
+		{0x3fd1ce935e509a08, 0x42d046eea6000000, 0x42405dec00000000, 0x3fe0d2e16d53022d},
+	}
+	i := 0
+	for _, m := range []*CostModel{opt13bTP2(), llama70b()} {
+		for _, b := range batchShapes() {
+			c := m.BatchCost(b)
+			rp, rd := m.SBDRates(PrefillOnly(512), b)
+			got := [4]uint64{math.Float64bits(float64(m.IterTime(b))),
+				math.Float64bits(c.FLOPs()), math.Float64bits(c.IOBytes()), math.Float64bits(rp * rd)}
+			if got != golden[i] {
+				t.Errorf("%s %+v: bits %#x, want %#x", m.Cfg.Name, b, got, golden[i])
+			}
+			i++
+		}
+	}
+}
+
+// BenchmarkIterTime prices recurring decode shapes through the roofline.
+func BenchmarkIterTime(b *testing.B) {
+	m := opt13bTP2()
+	shapes := make([]Batch, 32)
+	for i := range shapes {
+		shapes[i] = DecodeOnly(8+i%4, (8+i%4)*(600+i*13))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.IterTime(shapes[i%len(shapes)])
+	}
+}

@@ -537,8 +537,10 @@ func (d *pd) tryStartTransfer(q *engine.Req) bool {
 			lk := d.pdLink(i, j)
 			lk.Transfer(bytes, func() {
 				d.observeTransfer(bytes, start)
-				d.cfg.Tracer.Add("link "+lk.Name(), trace.KindKVTransfer, start, d.r.s.Now(),
-					fmt.Sprintf("req%d %d tokens", q.W.ID, q.Ctx()))
+				if d.cfg.Tracer != nil {
+					d.cfg.Tracer.Add("link "+lk.Name(), trace.KindKVTransfer, start, d.r.s.Now(),
+						fmt.Sprintf("req%d %d tokens", q.W.ID, q.Ctx()))
+				}
 				d.pIns(i).ReleaseKV(q)
 				if q.Phase == engine.PhaseAborted {
 					d.releaseAt(d.dIns(j), q)

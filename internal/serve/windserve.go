@@ -188,8 +188,10 @@ func (w *windState) submit(q *engine.Req) {
 			w.dispatched++
 			w.d.decodeAt[q.W.ID] = dj
 			now := w.r.s.Now()
-			w.cfg.Tracer.Add("scheduler", trace.KindDispatch, now, now,
-				fmt.Sprintf("req%d→decode-%d pred=%v", q.W.ID, dj, decision.PredictedTTFT))
+			if w.cfg.Tracer != nil {
+				w.cfg.Tracer.Add("scheduler", trace.KindDispatch, now, now,
+					fmt.Sprintf("req%d→decode-%d pred=%v", q.W.ID, dj, decision.PredictedTTFT))
+			}
 			dec.EnqueueAssist(q)
 			return
 		}
@@ -287,8 +289,10 @@ func (w *windState) maybeStartAsyncTransfer(q *engine.Req) {
 	bytes := w.d.kvBytes(q.W.PromptTokens)
 	w.d.p2d[pi][dj].Transfer(bytes, func() {
 		w.d.observeTransfer(bytes, start)
-		w.cfg.Tracer.Add(fmt.Sprintf("link p%d-d%d", pi, dj), trace.KindKVTransfer, start, w.r.s.Now(),
-			fmt.Sprintf("req%d async %d tokens", q.W.ID, q.W.PromptTokens))
+		if w.cfg.Tracer != nil {
+			w.cfg.Tracer.Add(fmt.Sprintf("link p%d-d%d", pi, dj), trace.KindKVTransfer, start, w.r.s.Now(),
+				fmt.Sprintf("req%d async %d tokens", q.W.ID, q.W.PromptTokens))
+		}
 		ax.xferDone = true
 		w.maybeFinishAsync(q, ax)
 	})
@@ -421,8 +425,10 @@ func (w *windState) startMigration(q *engine.Req, src int, freeFrac float64) {
 		CtxTokens:    q.Ctx(),
 		BackupTokens: clean,
 	})
-	w.cfg.Tracer.Add("scheduler", trace.KindReschedule, now, now,
-		fmt.Sprintf("req%d d%d→p%d ctx=%d backup=%d", q.W.ID, src, dst, q.Ctx(), clean))
+	if w.cfg.Tracer != nil {
+		w.cfg.Tracer.Add("scheduler", trace.KindReschedule, now, now,
+			fmt.Sprintf("req%d d%d→p%d ctx=%d backup=%d", q.W.ID, src, dst, q.Ctx(), clean))
+	}
 	w.migrationRound(m)
 }
 
@@ -443,8 +449,10 @@ func (w *windState) migrationRound(m *migration) {
 		if m.dead {
 			return // an endpoint crashed mid-round; recovery re-homed q
 		}
-		w.cfg.Tracer.Add(fmt.Sprintf("link d%d-p%d", m.src, m.dst), trace.KindMigration, start, w.r.s.Now(),
-			fmt.Sprintf("req%d copy %d tokens", m.q.W.ID, dirty))
+		if w.cfg.Tracer != nil {
+			w.cfg.Tracer.Add(fmt.Sprintf("link d%d-p%d", m.src, m.dst), trace.KindMigration, start, w.r.s.Now(),
+				fmt.Sprintf("req%d copy %d tokens", m.q.W.ID, dirty))
+		}
 		if m.rec != nil {
 			m.rec.Rounds = append(m.rec.Rounds, sched.CopyRound{
 				Kind: "copy", Start: start, End: w.r.s.Now(), Tokens: dirty,
@@ -483,8 +491,10 @@ func (w *windState) drainMigration(m *migration) {
 			}
 			return
 		}
-		w.cfg.Tracer.Add(fmt.Sprintf("link d%d-p%d", m.src, m.dst), trace.KindMigration, start, w.r.s.Now(),
-			fmt.Sprintf("req%d drain %d tokens", q.W.ID, dirty))
+		if w.cfg.Tracer != nil {
+			w.cfg.Tracer.Add(fmt.Sprintf("link d%d-p%d", m.src, m.dst), trace.KindMigration, start, w.r.s.Now(),
+				fmt.Sprintf("req%d drain %d tokens", q.W.ID, dirty))
+		}
 		if m.rec != nil {
 			m.rec.Rounds = append(m.rec.Rounds, sched.CopyRound{
 				Kind: "drain", Start: start, End: w.r.s.Now(), Tokens: dirty,
@@ -576,8 +586,10 @@ func (w *windState) maybeBackup(j int, decodeFreeFrac float64) {
 	start := w.r.s.Now()
 	w.d.d2p[j][pi].Transfer(w.d.kvBytes(snap), func() {
 		delete(w.backupInFlight, cand.W.ID)
-		w.cfg.Tracer.Add(fmt.Sprintf("link d%d-p%d", j, pi), trace.KindKVTransfer, start, w.r.s.Now(),
-			fmt.Sprintf("req%d backup %d tokens", cand.W.ID, snap))
+		if w.cfg.Tracer != nil {
+			w.cfg.Tracer.Add(fmt.Sprintf("link d%d-p%d", j, pi), trace.KindKVTransfer, start, w.r.s.Now(),
+				fmt.Sprintf("req%d backup %d tokens", cand.W.ID, snap))
+		}
 		if cand.Phase == engine.PhaseDone || cand.Phase == engine.PhaseAborted ||
 			!pkv.Has(cand.KVID()) || !pkv.IsBackup(cand.KVID()) {
 			return // finished, cancelled, or promoted while copying

@@ -27,12 +27,13 @@ if [[ $smoke -eq 1 ]]; then
 else
     out=${1:-BENCH_sim.json}
 fi
-micro_txt=$(mktemp)
-exhibit_txt=$(mktemp)
-mega_txt=$(mktemp)
-fleet_txt=$(mktemp)
-scale_txt=$(mktemp)
-trap 'rm -f "$micro_txt" "$exhibit_txt" "$mega_txt" "$fleet_txt" "$scale_txt"' EXIT
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+micro_txt=$work/micro.txt
+exhibit_txt=$work/exhibit.txt
+mega_txt=$work/mega.txt
+fleet_txt=$work/fleet.txt
+scale_txt=$work/scale.txt
 
 # Smoke sizes: enough requests for every parser below to find rows,
 # small enough for CI. The full capture uses the exhibits' defaults.
@@ -49,9 +50,9 @@ if [[ $smoke -eq 1 ]]; then
     scale_args=(-n 20000 ext-fleet-scale)
 fi
 
-echo "== micro-benchmarks (sim, metrics, perf, stats) ==" >&2
-go test -run '^$' -bench 'SimulatorScheduleFire|Summarize|OpenIDs|IterTime|EventQueue|ServeSteady|P2Add|PercentilesOf' \
-    -benchmem -benchtime "$benchtime" ./internal/sim ./internal/metrics ./internal/perf ./internal/stats | tee "$micro_txt" >&2
+echo "== micro-benchmarks (sim, metrics, perf, stats, engine) ==" >&2
+go test -run '^$' -bench 'SimulatorScheduleFire|Summarize|OpenIDs|IterTime|EventQueue|ServeSteady|P2Add|PercentilesOf|EnginePass' \
+    -benchmem -benchtime "$benchtime" ./internal/sim ./internal/metrics ./internal/perf ./internal/stats ./internal/engine | tee "$micro_txt" >&2
 
 if [[ $smoke -eq 1 ]]; then
     echo "== exhibit benchmarks skipped (--smoke) ==" >&2
@@ -62,30 +63,30 @@ else
 fi
 
 echo "== windbench wall clock: serial vs parallel ==" >&2
-go build -o /tmp/windbench.bench ./cmd/windbench
+go build -o "$work/windbench" ./cmd/windbench
 t0=$(date +%s.%N)
-/tmp/windbench.bench -n "$all_n" -parallel 1 all > /tmp/windbench.serial.txt
+"$work/windbench" -n "$all_n" -parallel 1 all > "$work/serial.txt"
 t1=$(date +%s.%N)
-/tmp/windbench.bench -n "$all_n" all > /tmp/windbench.parallel.txt
+"$work/windbench" -n "$all_n" all > "$work/parallel.txt"
 t2=$(date +%s.%N)
-cmp /tmp/windbench.serial.txt /tmp/windbench.parallel.txt \
+cmp "$work/serial.txt" "$work/parallel.txt" \
     || { echo "bench.sh: parallel output differs from serial" >&2; exit 1; }
 serial=$(echo "$t1 $t0" | awk '{printf "%.3f", $1 - $2}')
 parallel=$(echo "$t2 $t1" | awk '{printf "%.3f", $1 - $2}')
 echo "serial ${serial}s  parallel ${parallel}s  ($(nproc) cores)" >&2
 
 echo "== ext-mega: million-request streaming horizon ==" >&2
-/tmp/windbench.bench "${mega_args[@]}" | tee "$mega_txt" >&2
+"$work/windbench" "${mega_args[@]}" | tee "$mega_txt" >&2
 
 echo "== ext-fleet-chaos: 16-replica fleet under seeded chaos ==" >&2
 t5=$(date +%s.%N)
-/tmp/windbench.bench "${fleet_args[@]}" | tee "$fleet_txt" >&2
+"$work/windbench" "${fleet_args[@]}" | tee "$fleet_txt" >&2
 t6=$(date +%s.%N)
 fleet_wall=$(echo "$t6 $t5" | awk '{printf "%.3f", $1 - $2}')
 echo "ext-fleet-chaos wall clock ${fleet_wall}s" >&2
 
 echo "== ext-fleet-scale: 64-replica fleet across shard counts ==" >&2
-/tmp/windbench.bench "${scale_args[@]}" | tee "$scale_txt" >&2
+"$work/windbench" "${scale_args[@]}" | tee "$scale_txt" >&2
 grep -q "byte-identical virtual-time results" "$scale_txt" \
     || { echo "bench.sh: sharded fleet results diverged" >&2; exit 1; }
 grep -q "results byte-identical" "$scale_txt" \
