@@ -703,10 +703,12 @@ func ExpFig13(o Options, w io.Writer) ([]Fig13Row, error) {
 		dataset     workload.Dataset
 		rates       []float64
 		decodePlace perf.Placement
-		variant     func(serve.Config, []workload.Request) (*serve.Result, error)
+		ablate      func(*serve.WindOptions)
 	}{
-		{"no-split", workload.LongBench(), []float64{1.0, 1.5, 2.0}, perf.Placement{TP: 2, PP: 1}, serve.RunWindServeNoSplit},
-		{"no-resche", workload.ShareGPT(), []float64{2, 3, 4}, perf.Placement{TP: 1, PP: 1}, serve.RunWindServeNoResched},
+		{"no-split", workload.LongBench(), []float64{1.0, 1.5, 2.0}, perf.Placement{TP: 2, PP: 1},
+			func(wo *serve.WindOptions) { wo.DisableSBD = true }},
+		{"no-resche", workload.ShareGPT(), []float64{2, 3, 4}, perf.Placement{TP: 1, PP: 1},
+			func(wo *serve.WindOptions) { wo.DisableResched = true }},
 	}
 	var thunks []func() (Fig13Row, error)
 	for _, st := range studies {
@@ -718,12 +720,12 @@ func ExpFig13(o Options, w io.Writer) ([]Fig13Row, error) {
 			}
 			cfg.DecodePlace = st.decodePlace
 			reqs := sc.trace(rate, cfg, o)
-			for _, run := range []func(serve.Config, []workload.Request) (*serve.Result, error){
-				serve.RunWindServe, st.variant,
-			} {
-				st, rate, run := st, rate, run
+			ablated := cfg
+			st.ablate(&ablated.Wind)
+			for _, c := range []serve.Config{cfg, ablated} {
+				st, rate, c := st, rate, c
 				thunks = append(thunks, func() (Fig13Row, error) {
-					res, err := run(cfg, reqs)
+					res, err := serve.RunWindServe(c, reqs)
 					if err != nil {
 						return Fig13Row{}, err
 					}

@@ -241,14 +241,18 @@ func TestAblationFlagsChangeBehavior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noSplit, err := RunWindServeNoSplit(cfg, reqs)
+	cfgNS := cfg
+	cfgNS.Wind.DisableSBD = true
+	noSplit, err := RunWindServe(cfgNS, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if noSplit.System != "WindServe-no-split" {
 		t.Errorf("system name = %s", noSplit.System)
 	}
-	noRe, err := RunWindServeNoResched(cfg, reqs)
+	cfgNR := cfg
+	cfgNR.Wind.DisableResched = true
+	noRe, err := RunWindServe(cfgNR, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +292,9 @@ func TestSBDAblationHurtsTPOT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noSplit, err := RunWindServeNoSplit(cfg, reqs)
+	cfgNS := cfg
+	cfgNS.Wind.DisableSBD = true
+	noSplit, err := RunWindServe(cfgNS, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -799,17 +799,3 @@ func sortedIDs[V any](m map[uint64]V) []uint64 {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
-
-// Ablation helpers so benchmarks read naturally.
-
-// RunWindServeNoSplit runs the WindServe-no-split ablation (Fig. 13a).
-func RunWindServeNoSplit(cfg Config, reqs []workload.Request) (*Result, error) {
-	cfg.Wind.DisableSBD = true
-	return RunWindServe(cfg, reqs)
-}
-
-// RunWindServeNoResched runs the WindServe-no-resche ablation (Fig. 13b).
-func RunWindServeNoResched(cfg Config, reqs []workload.Request) (*Result, error) {
-	cfg.Wind.DisableResched = true
-	return RunWindServe(cfg, reqs)
-}
