@@ -70,9 +70,6 @@ type Options struct {
 	PrefixCache bool
 }
 
-// DefaultOptions returns the sizes used for the committed EXPERIMENTS.md.
-func DefaultOptions() Options { return Options{Requests: 600, Seed: 42} }
-
 func (o Options) withDefaults() Options {
 	if o.Requests <= 0 {
 		o.Requests = 600
@@ -159,6 +156,9 @@ func fanOut[R any](o Options, thunks []func() (R, error)) ([]R, error) {
 	return par.Run(o.pool(), len(thunks), func(i int) (R, error) { return thunks[i]() })
 }
 
+// system is one serving system's run entry, fed from a request source.
+type system = func(serve.Config, workload.Source) (*serve.Result, error)
+
 // systemOrder fixes the deterministic row order within every sweep point.
 var systemOrder = []string{"vLLM", "DistServe", "WindServe", "WindServe-no-split", "WindServe-no-resche"}
 
@@ -177,11 +177,11 @@ type sweepPoint struct {
 // print byte-identical output at any pool size. Traces are generated
 // up front (cheap, deterministic) and shared read-only across the
 // point's systems.
-func runSweep(scs []scenario, o Options, systems map[string]func(serve.Config, []workload.Request) (*serve.Result, error)) ([]sweepPoint, error) {
+func runSweep(scs []scenario, o Options, systems map[string]system) ([]sweepPoint, error) {
 	type job struct {
 		point int
 		name  string
-		run   func(serve.Config, []workload.Request) (*serve.Result, error)
+		run   system
 		cfg   serve.Config
 		reqs  []workload.Request
 		sc    scenario
@@ -210,7 +210,7 @@ func runSweep(scs []scenario, o Options, systems map[string]func(serve.Config, [
 		}
 	}
 	rows, err := par.Map(o.pool(), jobs, func(_ int, j job) (Row, error) {
-		res, err := j.run(j.cfg, j.reqs)
+		res, err := j.run(j.cfg, workload.NewSliceSource(j.reqs))
 		if err != nil {
 			return Row{}, fmt.Errorf("bench: %s %s rate %v: %w", j.sc.model.Name, j.name, j.rate, err)
 		}
@@ -228,21 +228,11 @@ func runSweep(scs []scenario, o Options, systems map[string]func(serve.Config, [
 	return points, nil
 }
 
-// runSystems runs the named systems on one scenario/rate and returns rows.
-func runSystems(sc scenario, rate float64, o Options, systems map[string]func(serve.Config, []workload.Request) (*serve.Result, error)) ([]Row, error) {
-	sc.rates = []float64{rate}
-	points, err := runSweep([]scenario{sc}, o, systems)
-	if err != nil {
-		return nil, err
-	}
-	return points[0].rows, nil
-}
-
-func threeSystems() map[string]func(serve.Config, []workload.Request) (*serve.Result, error) {
-	return map[string]func(serve.Config, []workload.Request) (*serve.Result, error){
-		"vLLM":      serve.RunVLLM,
-		"DistServe": serve.RunDistServe,
-		"WindServe": serve.RunWindServe,
+func threeSystems() map[string]system {
+	return map[string]system{
+		"vLLM":      serve.RunVLLMFrom,
+		"DistServe": serve.RunDistServeFrom,
+		"WindServe": serve.RunWindServeFrom,
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // small keeps unit-test experiment runs fast; the committed EXPERIMENTS.md
-// uses DefaultOptions.
+// uses the defaults (600 requests, seed 42).
 func small() Options { return Options{Requests: 250, Seed: 42} }
 
 func TestExpTable1(t *testing.T) {

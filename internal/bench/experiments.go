@@ -120,7 +120,7 @@ func ExpFig2(o Options, w io.Writer) ([]Fig2Row, error) {
 			if err != nil {
 				return Fig2Row{}, err
 			}
-			res, err := serve.RunDistServe(cfg, c.sc.trace(c.rate, cfg, o))
+			res, err := serve.RunDistServeFrom(cfg, workload.NewSliceSource(c.sc.trace(c.rate, cfg, o)))
 			if err != nil {
 				return Fig2Row{}, err
 			}
@@ -174,7 +174,7 @@ func ExpFig3(o Options, w io.Writer) ([]Fig3Row, error) {
 			cfg.DecodePlace = pl.decode
 			gpus := float64(cfg.TotalGPUs())
 			g := workload.NewGenerator(workload.ShareGPT(), workload.PoissonArrivals{Rate: 4 * gpus}, o.Seed)
-			res, err := serve.RunDistServe(cfg, g.Generate(o.Requests))
+			res, err := serve.RunDistServeFrom(cfg, workload.NewSliceSource(g.Generate(o.Requests)))
 			if err != nil {
 				return Fig3Row{}, err
 			}
@@ -265,7 +265,7 @@ func ExpFig5(o Options, w io.Writer) ([]Fig5Row, error) {
 			thunks = append(thunks, func() (Fig5Row, error) {
 				cf := cfg
 				cf.Wind.ThresholdFrac = f
-				res, err := serve.RunWindServe(cf, reqs)
+				res, err := serve.RunWindServeFrom(cf, workload.NewSliceSource(reqs))
 				if err != nil {
 					return Fig5Row{}, err
 				}
@@ -648,11 +648,11 @@ func ExpFig12(o Options, w io.Writer) ([]Fig12Row, error) {
 			reqs := g.Generate(o.Requests)
 			for _, sys := range []struct {
 				name string
-				run  func(serve.Config, []workload.Request) (*serve.Result, error)
-			}{{"DistServe", serve.RunDistServe}, {"WindServe", serve.RunWindServe}} {
+				run  system
+			}{{"DistServe", serve.RunDistServeFrom}, {"WindServe", serve.RunWindServeFrom}} {
 				pl, rate, name, run := pl, rate, sys.name, sys.run
 				thunks = append(thunks, func() (Fig12Row, error) {
-					res, err := run(cfg, reqs)
+					res, err := run(cfg, workload.NewSliceSource(reqs))
 					if err != nil {
 						return Fig12Row{}, fmt.Errorf("bench: fig12 %s %s: %w", pl.name, name, err)
 					}
@@ -725,7 +725,7 @@ func ExpFig13(o Options, w io.Writer) ([]Fig13Row, error) {
 			for _, c := range []serve.Config{cfg, ablated} {
 				st, rate, c := st, rate, c
 				thunks = append(thunks, func() (Fig13Row, error) {
-					res, err := serve.RunWindServe(c, reqs)
+					res, err := serve.RunWindServeFrom(c, workload.NewSliceSource(reqs))
 					if err != nil {
 						return Fig13Row{}, err
 					}

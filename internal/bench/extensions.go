@@ -71,7 +71,7 @@ func ExpHetero(o Options, w io.Writer) ([]HeteroRow, error) {
 				cfg.Topo = dep.topo()
 				gpus := float64(cfg.TotalGPUs())
 				g := workload.NewGenerator(workload.ShareGPT(), workload.PoissonArrivals{Rate: rate * gpus}, o.Seed)
-				res, err := serve.RunWindServe(cfg, g.Generate(o.Requests))
+				res, err := serve.RunWindServeFrom(cfg, workload.NewSliceSource(g.Generate(o.Requests)))
 				if err != nil {
 					return HeteroRow{}, fmt.Errorf("bench: hetero %s: %w", dep.name, err)
 				}
@@ -170,7 +170,7 @@ func ExpDesignAblations(o Options, w io.Writer) ([]AblationRow, error) {
 		if sp.mut != nil {
 			sp.mut(&c)
 		}
-		res, err := serve.RunWindServe(c, reqs)
+		res, err := serve.RunWindServeFrom(c, workload.NewSliceSource(reqs))
 		if err != nil {
 			return AblationRow{}, err
 		}
@@ -233,7 +233,7 @@ func ExpVictimPolicy(o Options, w io.Writer) ([]VictimRow, error) {
 	}) (VictimRow, error) {
 		c := cfg
 		c.Wind.Resched.PreferShortVictims = pol.short
-		res, err := serve.RunWindServe(c, reqs)
+		res, err := serve.RunWindServeFrom(c, workload.NewSliceSource(reqs))
 		if err != nil {
 			return VictimRow{}, err
 		}
@@ -286,11 +286,11 @@ func ExpShift(o Options, w io.Writer) ([]ShiftRow, error) {
 	reqs := workload.Concat(low, high, 0)
 	shiftAt := reqs[n1].Arrival
 
-	runs := []func(serve.Config, []workload.Request) (*serve.Result, error){
-		serve.RunDistServe, serve.RunWindServe,
+	runs := []system{
+		serve.RunDistServeFrom, serve.RunWindServeFrom,
 	}
-	rows, err := par.Map(o.pool(), runs, func(_ int, run func(serve.Config, []workload.Request) (*serve.Result, error)) (ShiftRow, error) {
-		res, err := run(cfg, reqs)
+	rows, err := par.Map(o.pool(), runs, func(_ int, run system) (ShiftRow, error) {
+		res, err := run(cfg, workload.NewSliceSource(reqs))
 		if err != nil {
 			return ShiftRow{}, err
 		}
@@ -356,11 +356,11 @@ func ExpMixed(o Options, w io.Writer) ([]MixedRow, error) {
 	ds := workload.Mixture(workload.ShareGPT(), workload.LongBench(), 0.5, cfg.Model.MaxContext)
 	g := workload.NewGenerator(ds, workload.PoissonArrivals{Rate: 1.5 * float64(cfg.TotalGPUs())}, o.Seed)
 	reqs := g.Generate(o.Requests)
-	runs := []func(serve.Config, []workload.Request) (*serve.Result, error){
-		serve.RunVLLM, serve.RunDistServe, serve.RunWindServe,
+	runs := []system{
+		serve.RunVLLMFrom, serve.RunDistServeFrom, serve.RunWindServeFrom,
 	}
-	rows, err := par.Map(o.pool(), runs, func(_ int, run func(serve.Config, []workload.Request) (*serve.Result, error)) (MixedRow, error) {
-		res, err := run(cfg, reqs)
+	rows, err := par.Map(o.pool(), runs, func(_ int, run system) (MixedRow, error) {
+		res, err := run(cfg, workload.NewSliceSource(reqs))
 		if err != nil {
 			return MixedRow{}, err
 		}
@@ -423,12 +423,12 @@ func ExpScale(o Options, w io.Writer) ([]ScaleRow, error) {
 			reqs := g.Generate(o.Requests)
 			for _, sys := range []struct {
 				name string
-				run  func(serve.Config, []workload.Request) (*serve.Result, error)
-			}{{"DistServe", serve.RunDistServe}, {"WindServe", serve.RunWindServe}} {
+				run  system
+			}{{"DistServe", serve.RunDistServeFrom}, {"WindServe", serve.RunWindServeFrom}} {
 				dep, rate, cfg, reqs := dep, rate, cfg, reqs
 				name, run := sys.name, sys.run
 				thunks = append(thunks, func() (ScaleRow, error) {
-					res, err := run(cfg, reqs)
+					res, err := run(cfg, workload.NewSliceSource(reqs))
 					if err != nil {
 						return ScaleRow{}, fmt.Errorf("bench: scale %s %s: %w", dep.name, name, err)
 					}
@@ -479,7 +479,7 @@ func ExpChunkSize(o Options, w io.Writer) ([]ChunkRow, error) {
 	rows, err := par.Map(o.pool(), []int{128, 256, 512, 1024, 2048}, func(_ int, chunk int) (ChunkRow, error) {
 		c := cfg
 		c.ChunkSize = chunk
-		res, err := serve.RunVLLM(c, reqs)
+		res, err := serve.RunVLLMFrom(c, workload.NewSliceSource(reqs))
 		if err != nil {
 			return ChunkRow{}, err
 		}
@@ -534,12 +534,12 @@ func ExpBurst(o Options, w io.Writer) ([]BurstRow, error) {
 		reqs := g.Generate(o.Requests)
 		for _, sys := range []struct {
 			name string
-			run  func(serve.Config, []workload.Request) (*serve.Result, error)
-		}{{"DistServe", serve.RunDistServe}, {"WindServe", serve.RunWindServe}} {
+			run  system
+		}{{"DistServe", serve.RunDistServeFrom}, {"WindServe", serve.RunWindServeFrom}} {
 			proc, reqs := proc, reqs
 			name, run := sys.name, sys.run
 			thunks = append(thunks, func() (BurstRow, error) {
-				res, err := run(cfg, reqs)
+				res, err := run(cfg, workload.NewSliceSource(reqs))
 				if err != nil {
 					return BurstRow{}, fmt.Errorf("bench: burst %s: %w", name, err)
 				}

@@ -62,11 +62,11 @@ func ExpResilience(o Options, w io.Writer, plan *fault.Plan) ([]ResilienceRow, e
 	var thunks []func() (ResilienceRow, error)
 	for _, sys := range []struct {
 		name string
-		run  func(serve.Config, []workload.Request) (*serve.Result, error)
+		run  system
 	}{
-		{"vLLM", serve.RunVLLM},
-		{"DistServe", serve.RunDistServe},
-		{"WindServe", serve.RunWindServe},
+		{"vLLM", serve.RunVLLMFrom},
+		{"DistServe", serve.RunDistServeFrom},
+		{"WindServe", serve.RunWindServeFrom},
 	} {
 		for _, faulted := range []bool{false, true} {
 			name, run, faulted := sys.name, sys.run, faulted
@@ -77,7 +77,7 @@ func ExpResilience(o Options, w io.Writer, plan *fault.Plan) ([]ResilienceRow, e
 					c.Faults = plan
 					label = fmt.Sprint(plan)
 				}
-				res, err := run(c, reqs)
+				res, err := run(c, workload.NewSliceSource(reqs))
 				if err != nil {
 					return ResilienceRow{}, fmt.Errorf("bench: resilience %s: %w", name, err)
 				}

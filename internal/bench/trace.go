@@ -9,6 +9,7 @@ import (
 	"windserve/internal/sched"
 	"windserve/internal/serve"
 	"windserve/internal/trace"
+	"windserve/internal/workload"
 )
 
 // TraceArtifacts is everything a traced run produces: the result, the
@@ -38,7 +39,7 @@ func ExpTraceCapture(o Options, w io.Writer, plan *fault.Plan) (*TraceArtifacts,
 	cfg.Faults = plan
 
 	reqs := sc.trace(4, cfg, o)
-	res, err := serve.RunWindServe(cfg, reqs)
+	res, err := serve.RunWindServeFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		return nil, fmt.Errorf("bench: trace capture: %w", err)
 	}

@@ -287,14 +287,6 @@ func (ins *Instance) SetSlowdown(factor float64) {
 	ins.slow = factor
 }
 
-// Slowdown returns the current pass-duration multiplier (1 when nominal).
-func (ins *Instance) Slowdown() float64 {
-	if ins.slow > 1 {
-		return ins.slow
-	}
-	return 1
-}
-
 // SetAllowPrefill changes whether the main stream accepts prefill work —
 // the elastic role-flip switch. Enabling kicks the engine (queued
 // prompts may now form a pass); disabling never interrupts a pass in
@@ -388,9 +380,6 @@ func (ins *Instance) Running() []*Req { return ins.running }
 // NumRunning returns the decode batch size.
 func (ins *Instance) NumRunning() int { return len(ins.running) }
 
-// NumSwapped returns how many requests are preempted to host memory.
-func (ins *Instance) NumSwapped() int { return len(ins.swapped) }
-
 // NumQueued returns prefill queue length.
 func (ins *Instance) NumQueued() int { return len(ins.prefillQ) }
 
@@ -414,12 +403,6 @@ func (ins *Instance) AssistActive() bool { return len(ins.assistActive) > 0 }
 
 // FreeKVTokens returns the token capacity of free blocks.
 func (ins *Instance) FreeKVTokens() int { return ins.cfg.KV.FreeTokens() }
-
-// Idle reports whether the main stream has nothing running or runnable.
-func (ins *Instance) Idle() bool {
-	return !ins.busy && len(ins.running) == 0 && len(ins.prefillQ) == 0 &&
-		len(ins.admitQ) == 0 && len(ins.assistActive) == 0 && len(ins.assistQ) == 0
-}
 
 // --- The iteration loop ------------------------------------------------
 

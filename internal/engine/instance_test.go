@@ -451,9 +451,6 @@ func TestObservabilityViews(t *testing.T) {
 	if h.ins.QueuedPrefillTokens() != 500 {
 		t.Errorf("QueuedPrefillTokens = %d", h.ins.QueuedPrefillTokens())
 	}
-	if !h.ins.Idle() {
-		// Not yet stepped — queue is non-empty so Idle is false.
-	}
 	// Run one step to get busy.
 	h.s.Step()
 	if h.ins.BusyRemaining() <= 0 {
@@ -463,7 +460,7 @@ func TestObservabilityViews(t *testing.T) {
 	if h.ins.BusyRemaining() != 0 {
 		t.Error("BusyRemaining after drain")
 	}
-	if !h.ins.Idle() {
+	if h.ins.busy || len(h.ins.running) != 0 || len(h.ins.prefillQ) != 0 {
 		t.Error("instance should be idle after drain")
 	}
 	shape := h.ins.RunningShape()
@@ -482,8 +479,8 @@ func TestUtilizationGaugesPopulated(t *testing.T) {
 	if h.ins.ComputeGauge.ObservedTime() <= 0 {
 		t.Error("compute gauge empty")
 	}
-	cu := h.ins.ComputeGauge.Mean()
-	bu := h.ins.BWGauge.Mean()
+	cu := h.ins.ComputeGauge.MeanOver(h.ins.ComputeGauge.ObservedTime())
+	bu := h.ins.BWGauge.MeanOver(h.ins.BWGauge.ObservedTime())
 	if cu <= 0 || cu > 1 {
 		t.Errorf("compute utilization = %v", cu)
 	}

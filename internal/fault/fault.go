@@ -19,6 +19,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -191,6 +192,17 @@ func (p *Plan) String() string {
 // window, silently resurrecting a target that should still be down.
 func (p *Plan) Validate() error {
 	for i, e := range p.Events {
+		// NaN fails every comparison below, so non-finite values must be
+		// rejected before any range check can pass them.
+		for _, v := range []struct {
+			name string
+			x    float64
+		}{{"time", float64(e.At)}, {"duration", e.Duration.Seconds()}, {"factor", e.Factor},
+			{"end time", float64(e.At.Add(e.Duration))}} {
+			if math.IsNaN(v.x) || math.IsInf(v.x, 0) {
+				return fmt.Errorf("fault: event %d (%s): non-finite %s %g", i, e, v.name, v.x)
+			}
+		}
 		if e.At < 0 {
 			return fmt.Errorf("fault: event %d (%s): negative time", i, e)
 		}
@@ -441,9 +453,9 @@ type Hooks struct {
 	SetSlowdown func(role Role, idx int, factor float64)
 	// SetLinkDegrade scales cross-instance bandwidth; 1 restores nominal.
 	SetLinkDegrade func(frac float64)
-	// Cancel aborts a fraction of in-flight requests using the given
+	// CancelFrac aborts a fraction of in-flight requests using the given
 	// seed to pick victims.
-	Cancel func(frac float64, seed int64)
+	CancelFrac func(frac float64, seed int64)
 
 	// Fleet-level hooks (replica-granularity events).
 	ReplicaCrash   func(idx int)
@@ -491,13 +503,13 @@ func Apply(s *sim.Simulator, p *Plan, h Hooks) error {
 				s.At(e.At.Add(e.Duration), func() { h.SetLinkDegrade(1) })
 			}
 		case Cancel:
-			if h.Cancel == nil {
+			if h.CancelFrac == nil {
 				continue
 			}
 			// Each cancel event gets its own derived seed so reordering
 			// or removing other events does not change its victims.
 			seed := p.Seed + int64(i)*1000003 + 1
-			s.At(e.At, func() { h.Cancel(e.Factor, seed) })
+			s.At(e.At, func() { h.CancelFrac(e.Factor, seed) })
 		case ReplicaCrash:
 			if h.ReplicaCrash == nil {
 				continue

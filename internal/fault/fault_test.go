@@ -2,6 +2,8 @@ package fault
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"windserve/internal/sim"
@@ -95,7 +97,7 @@ func TestApplySchedulesAndRestores(t *testing.T) {
 		SetLinkDegrade: func(f float64) {
 			log = append(log, fmt.Sprintf("degrade x%g @%v", f, s.Now()))
 		},
-		Cancel: func(f float64, seed int64) {
+		CancelFrac: func(f float64, seed int64) {
 			log = append(log, fmt.Sprintf("cancel %g seed=%d @%v", f, seed, s.Now()))
 		},
 	}
@@ -293,4 +295,50 @@ func mustParse(t *testing.T, spec string) *Plan {
 		t.Fatalf("Parse(%q): %v", spec, err)
 	}
 	return p
+}
+
+// TestParseRejectsNonFinite: strconv.ParseFloat accepts NaN and Inf, and
+// NaN slips past every range comparison, so each non-finite time,
+// duration, factor or end time must be rejected by name.
+func TestParseRejectsNonFinite(t *testing.T) {
+	for spec, want := range map[string]string{
+		"crash:d0@NaN":          "non-finite time",
+		"crash:d0@1+NaN":        "non-finite duration",
+		"slow:d0@1xNaN+5":       "non-finite factor",
+		"slow:d0@1xInf+5":       "non-finite factor",
+		"degrade@-Infx0.5+5":    "non-finite time",
+		"rcrash:r0@1e308+1e308": "non-finite end time",
+	} {
+		_, err := Parse(spec)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Parse(%q) = %v, want error containing %q", spec, err, want)
+		}
+	}
+}
+
+// FuzzParse: Parse never panics, and every plan it accepts is finite and
+// passes Validate on its own.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"crash:d0@15+10; slow:p0@10x1.5+20; degrade@20x0.25+30; cancel@12x0.2",
+		"rcrash:r3@30+15; rslow:r1@10x2+20; rpart:r0@25+10",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		for _, e := range p.Events {
+			for _, x := range []float64{float64(e.At), e.Duration.Seconds(), e.Factor, float64(e.At.Add(e.Duration))} {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("Parse(%q) accepted non-finite event %+v", spec, e)
+				}
+			}
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("Parse(%q) accepted a plan Validate rejects: %v", spec, err)
+		}
+	})
 }

@@ -59,7 +59,7 @@ func TestElasticFlipExactlyOnce(t *testing.T) {
 		cfg.Faults = mustPlan(t, "rcrash:r1@20+15; rpart:r2@40+10; cancel@30x0.05")
 		cfg.Faults.Seed = seed
 		cfg.Decisions = sched.NewDecisionLog()
-		res, err := Run(cfg, mixShiftTrace(t, 300, seed))
+		res, err := RunFrom(cfg, workload.NewSliceSource(mixShiftTrace(t, 300, seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestElasticFlipExactlyOnce(t *testing.T) {
 // migrates running decode streams (not just the empty-batch easy case).
 func TestElasticMigratesStreams(t *testing.T) {
 	cfg := elasticConfig(t)
-	res, err := Run(cfg, mixShiftTrace(t, 400, 42))
+	res, err := RunFrom(cfg, workload.NewSliceSource(mixShiftTrace(t, 400, 42)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestElasticMigratesStreams(t *testing.T) {
 func elasticDigest(t *testing.T, cfg Config, seed int64) (string, [32]byte) {
 	t.Helper()
 	cfg.Decisions = sched.NewDecisionLog()
-	res, err := Run(cfg, mixShiftTrace(t, 300, seed))
+	res, err := RunFrom(cfg, workload.NewSliceSource(mixShiftTrace(t, 300, seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +151,8 @@ func TestElasticValidation(t *testing.T) {
 	} {
 		cfg := testConfig(t, 2)
 		mutate(&cfg)
-		if _, err := Run(cfg, trace(5, 5, 1)); err == nil {
-			t.Errorf("%s: Run accepted invalid config", name)
+		if _, err := RunFrom(cfg, workload.NewSliceSource(trace(5, 5, 1))); err == nil {
+			t.Errorf("%s: RunFrom accepted invalid config", name)
 		}
 	}
 }
@@ -165,7 +165,7 @@ func TestBrownoutUnchangedByHelperRefactor(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.BrownoutDepth = 4
 	cfg.Decisions = sched.NewDecisionLog()
-	res, err := Run(cfg, trace(300, 150, 9))
+	res, err := RunFrom(cfg, workload.NewSliceSource(trace(300, 150, 9)))
 	if err != nil {
 		t.Fatal(err)
 	}

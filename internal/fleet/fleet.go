@@ -309,13 +309,8 @@ func (c *Config) fillDefaults() {
 	c.Elastic = c.Elastic.WithDefaults()
 }
 
-// Run executes one fleet experiment over a materialized trace.
-func Run(cfg Config, reqs []workload.Request) (*Result, error) {
-	return RunFrom(cfg, workload.NewSliceSource(reqs))
-}
-
-// RunFrom is Run fed from a pull-based request source, so a 100k-request
-// chaos exhibit never materializes its trace.
+// RunFrom executes one fleet experiment, pulling arrivals from src one
+// at a time, so a 100k-request chaos exhibit never materializes its trace.
 func RunFrom(cfg Config, src workload.Source) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -811,7 +806,7 @@ func (f *fleet) installFaults() error {
 				f.sendTo(i, msg{kind: mDegrade, f: frac})
 			}
 		},
-		Cancel: f.cancelFrac,
+		CancelFrac: f.cancelFrac,
 	}
 	return fault.Apply(f.s, f.cfg.Faults, h)
 }

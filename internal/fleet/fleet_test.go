@@ -44,7 +44,7 @@ func checkPartition(t *testing.T, res *Result) {
 
 func TestFleetCleanRun(t *testing.T) {
 	cfg := testConfig(t, 4)
-	res, err := Run(cfg, trace(200, 8, 1))
+	res, err := RunFrom(cfg, workload.NewSliceSource(trace(200, 8, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestFleetCrashFailover(t *testing.T) {
 		cfg.Policy = pol
 		cfg.Faults = mustPlan(t, "rcrash:r0@10+30")
 		cfg.Decisions = sched.NewDecisionLog()
-		res, err := Run(cfg, trace(300, 10, 2))
+		res, err := RunFrom(cfg, workload.NewSliceSource(trace(300, 10, 2)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestFleetPartitionAndSlow(t *testing.T) {
 	cfg.FailoverTimeout = sim.Seconds(5)
 	cfg.Faults = mustPlan(t, "rpart:r1@8+20; rslow:r2@30x50+30")
 	cfg.Decisions = sched.NewDecisionLog()
-	res, err := Run(cfg, trace(300, 10, 3))
+	res, err := RunFrom(cfg, workload.NewSliceSource(trace(300, 10, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestFleetShedding(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.MaxQueueDepth = 8
 	cfg.TTFTDeadline = sim.Seconds(5)
-	res, err := Run(cfg, trace(400, 200, 4))
+	res, err := RunFrom(cfg, workload.NewSliceSource(trace(400, 200, 4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestFleetDeterminism(t *testing.T) {
 		cfg.Faults = mustPlan(t, "rcrash:r1@10+20; rpart:r3@25+10; rslow:r0@40x8+20; cancel@30x0.1")
 		cfg.Faults.Seed = 7
 		cfg.Decisions = sched.NewDecisionLog()
-		res, err := Run(cfg, trace(400, 12, 5))
+		res, err := RunFrom(cfg, workload.NewSliceSource(trace(400, 12, 5)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,8 +195,8 @@ func TestFleetValidation(t *testing.T) {
 	} {
 		cfg := base
 		mutate(&cfg)
-		if _, err := Run(cfg, trace(5, 5, 1)); err == nil {
-			t.Errorf("%s: Run accepted invalid config", name)
+		if _, err := RunFrom(cfg, workload.NewSliceSource(trace(5, 5, 1))); err == nil {
+			t.Errorf("%s: RunFrom accepted invalid config", name)
 		}
 	}
 }

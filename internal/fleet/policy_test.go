@@ -6,6 +6,7 @@ import (
 	"windserve/internal/fault"
 	"windserve/internal/sched"
 	"windserve/internal/sim"
+	"windserve/internal/workload"
 )
 
 // failureWeight maps a replica-granularity chaos event to the weight the
@@ -107,7 +108,7 @@ func TestPrefixAffinityRouting(t *testing.T) {
 		reqs[i].PrefixTokens = reqs[i].PromptTokens / 2
 	}
 	cfg.Decisions = sched.NewDecisionLog()
-	res, err := Run(cfg, reqs)
+	res, err := RunFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestPrefixAffinityFailover(t *testing.T) {
 	for i := range reqs {
 		reqs[i].SessionID = uint64(i%10 + 1)
 	}
-	res, err := Run(cfg, reqs)
+	res, err := RunFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}

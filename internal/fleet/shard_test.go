@@ -8,6 +8,7 @@ import (
 
 	"windserve/internal/sched"
 	"windserve/internal/sim"
+	"windserve/internal/workload"
 )
 
 // digest runs one fleet config and returns the printed Result plus a
@@ -16,7 +17,7 @@ import (
 func digest(t *testing.T, cfg Config, seed int64) (string, [32]byte) {
 	t.Helper()
 	cfg.Decisions = sched.NewDecisionLog()
-	res, err := Run(cfg, trace(150, 10, seed))
+	res, err := RunFrom(cfg, workload.NewSliceSource(trace(150, 10, seed)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,9 +193,6 @@ func HomogeneousTestbed(n int, spec Spec) *Topology {
 	return NewTopology(devs)
 }
 
-// SetLink overrides the spec used for one link kind.
-func (t *Topology) SetLink(kind LinkKind, spec LinkSpec) { t.links[kind] = spec }
-
 // Link returns the spec for a link kind.
 func (t *Topology) Link(kind LinkKind) LinkSpec { return t.links[kind] }
 

@@ -133,14 +133,6 @@ func TestHomogeneousTestbed(t *testing.T) {
 	}
 }
 
-func TestSetLinkOverride(t *testing.T) {
-	topo := PaperTestbed()
-	topo.SetLink(LinkPCIeSwitch, LinkSpec{Kind: LinkPCIeSwitch, GBs: 64})
-	if got := topo.PathBetween(0, 2).GBs; got != 64 {
-		t.Errorf("overridden PCIe BW = %v, want 64", got)
-	}
-}
-
 func TestKVTransferTimeMatchesPaper(t *testing.T) {
 	// Paper §2.2: ~1.5 GB KV cache over PCIe Gen4 ×16 @ 32 GB/s ≈ 47 ms raw
 	// ("~65 ms" with protocol overhead). Sanity-check the raw number here;

@@ -247,11 +247,6 @@ func (m *Manager) Tokens(id RequestID) int {
 	return 0
 }
 
-// CanAllocate reports whether tokens more could be allocated on GPU now.
-func (m *Manager) CanAllocate(tokens int) bool {
-	return m.BlocksFor(tokens) <= m.gpuFree
-}
-
 // Allocate reserves GPU blocks for a new request with the given context
 // length. Allocating an existing id is an error. In prefix mode a
 // shortfall first reclaims backups and then idle prefix blocks.

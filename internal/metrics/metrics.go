@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"windserve/internal/sim"
+	"windserve/internal/stats"
 )
 
 // SLO is a service level objective pair (paper Table 4).
@@ -407,26 +408,14 @@ func Summarize(records []*Record, slo SLO) Summary {
 	return s
 }
 
-// pct interpolates a percentile on pre-sorted data. An empty class is 0,
-// not NaN — NaN poisons downstream CSV parsing and comparisons the first
-// time a fault plan empties a class (e.g. zero aborted requests).
+// pct is stats.PercentileSorted on pre-sorted data, except that an empty
+// class is 0, not NaN — NaN poisons downstream CSV parsing and comparisons
+// the first time a fault plan empties a class (e.g. zero aborted requests).
 func pct(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	if lo >= len(sorted)-1 {
-		return sorted[len(sorted)-1]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return stats.PercentileSorted(sorted, p)
 }
 
 // WriteRecordsCSV emits one line per completed request — the raw material
@@ -509,15 +498,6 @@ func (g *Gauge) AddInterval(from, to sim.Time, value float64) {
 	g.total += dt
 }
 
-// Mean returns the time-weighted mean over all recorded intervals,
-// treating uncovered time as not observed.
-func (g *Gauge) Mean() float64 {
-	if g.total == 0 {
-		return 0
-	}
-	return g.weighted / g.total
-}
-
 // MeanOver returns the time-weighted mean across a full window of length
 // span, counting unobserved time as zero (idle).
 func (g *Gauge) MeanOver(span sim.Duration) float64 {
@@ -529,101 +509,3 @@ func (g *Gauge) MeanOver(span sim.Duration) float64 {
 
 // ObservedTime returns the total covered time.
 func (g *Gauge) ObservedTime() sim.Duration { return sim.Seconds(g.total) }
-
-// Series is an append-only time series for plotted quantities (queue
-// depths, free blocks, ...).
-//
-// Setting Cap (>= 2) before the first Append bounds the retained points:
-// once the series fills, resolution halves — adjacent points merge into
-// buckets holding their count-weighted mean, stamped with the bucket's
-// first sample time — and later samples fold into the trailing bucket
-// until it reaches the current stride. Mean and Max stay exact regardless
-// (tracked as running aggregates over every sample); only the plotted
-// shape is decimated. Cap == 0 retains every sample, unchanged.
-type Series struct {
-	Name string
-	Cap  int
-	T    []sim.Time
-	V    []float64
-
-	cnt    []int // samples merged into each retained point (Cap > 0 only)
-	stride int   // samples a full bucket holds; doubles at each compression
-	lastT  sim.Time
-	total  int
-	sum    float64
-	max    float64
-}
-
-// Append adds a sample. Samples must arrive in time order.
-func (s *Series) Append(t sim.Time, v float64) {
-	if s.total > 0 && t < s.lastT {
-		panic("metrics: series sample out of order")
-	}
-	s.lastT = t
-	s.sum += v
-	if s.total == 0 || v > s.max {
-		s.max = v
-	}
-	s.total++
-	if s.Cap > 1 {
-		if s.stride == 0 {
-			s.stride = 1
-		}
-		if last := len(s.cnt) - 1; last >= 0 && s.cnt[last] < s.stride {
-			c := float64(s.cnt[last])
-			s.V[last] = (s.V[last]*c + v) / (c + 1)
-			s.cnt[last]++
-			return
-		}
-		if len(s.T) >= s.Cap {
-			s.compress()
-		}
-		s.cnt = append(s.cnt, 1)
-	}
-	s.T = append(s.T, t)
-	s.V = append(s.V, v)
-}
-
-// compress halves the series resolution in place: adjacent buckets merge
-// into their count-weighted mean at the earlier bucket's timestamp.
-func (s *Series) compress() {
-	j := 0
-	for i := 0; i < len(s.T); i += 2 {
-		if i+1 < len(s.T) {
-			ca, cb := float64(s.cnt[i]), float64(s.cnt[i+1])
-			s.V[j] = (s.V[i]*ca + s.V[i+1]*cb) / (ca + cb)
-			s.cnt[j] = s.cnt[i] + s.cnt[i+1]
-		} else {
-			s.V[j] = s.V[i]
-			s.cnt[j] = s.cnt[i]
-		}
-		s.T[j] = s.T[i]
-		j++
-	}
-	s.T = s.T[:j]
-	s.V = s.V[:j]
-	s.cnt = s.cnt[:j]
-	s.stride *= 2
-}
-
-// Len returns the number of retained points (== samples when uncapped).
-func (s *Series) Len() int { return len(s.T) }
-
-// Samples returns the total number of samples ever appended.
-func (s *Series) Samples() int { return s.total }
-
-// Mean returns the exact unweighted mean over all appended samples.
-func (s *Series) Mean() float64 {
-	if s.total == 0 {
-		return 0
-	}
-	return s.sum / float64(s.total)
-}
-
-// Max returns the exact largest appended sample (0 if empty).
-func (s *Series) Max() float64 {
-	if s.total == 0 {
-		return 0
-	}
-	return s.max
-}

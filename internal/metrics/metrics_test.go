@@ -157,13 +157,13 @@ func TestSummarizeEmpty(t *testing.T) {
 
 func TestGauge(t *testing.T) {
 	var g Gauge
-	if g.Mean() != 0 {
+	if g.MeanOver(g.ObservedTime()) != 0 {
 		t.Error("empty gauge mean should be 0")
 	}
 	g.AddInterval(0, 10, 0.8)
 	g.AddInterval(10, 20, 0.2)
-	if m := g.Mean(); math.Abs(m-0.5) > 1e-9 {
-		t.Errorf("Mean = %v, want 0.5", m)
+	if m := g.MeanOver(g.ObservedTime()); math.Abs(m-0.5) > 1e-9 {
+		t.Errorf("mean over observed time = %v, want 0.5", m)
 	}
 	if m := g.MeanOver(sim.Seconds(40)); math.Abs(m-0.25) > 1e-9 {
 		t.Errorf("MeanOver(40) = %v, want 0.25", m)
@@ -181,27 +181,6 @@ func TestGauge(t *testing.T) {
 			}
 		}()
 		g.AddInterval(5, 4, 1)
-	}()
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	if s.Mean() != 0 || s.Max() != 0 || s.Len() != 0 {
-		t.Error("empty series stats")
-	}
-	s.Append(1, 10)
-	s.Append(2, 30)
-	s.Append(2, 20) // equal time allowed
-	if s.Len() != 3 || s.Mean() != 20 || s.Max() != 30 {
-		t.Errorf("series stats = len %d mean %v max %v", s.Len(), s.Mean(), s.Max())
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("out-of-order append should panic")
-			}
-		}()
-		s.Append(1, 5)
 	}()
 }
 

@@ -133,67 +133,6 @@ func TestStreamingAbortReject(t *testing.T) {
 	}
 }
 
-// TestSeriesDecimation: a capped series stays under its cap, keeps exact
-// Mean/Max, and retains time-ordered points.
-func TestSeriesDecimation(t *testing.T) {
-	s := Series{Name: "queue", Cap: 64}
-	rng := rand.New(rand.NewSource(5))
-	n := 10_000
-	sum, max := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := rng.Float64() * 100
-		sum += v
-		if i == 0 || v > max {
-			max = v
-		}
-		s.Append(sim.Time(float64(i)), v)
-	}
-	if s.Len() > 64 {
-		t.Errorf("retained %d points, want <= cap 64", s.Len())
-	}
-	if s.Samples() != n {
-		t.Errorf("Samples = %d, want %d", s.Samples(), n)
-	}
-	if got := s.Mean(); math.Abs(got-sum/float64(n)) > 1e-9 {
-		t.Errorf("Mean = %v, want exact %v", got, sum/float64(n))
-	}
-	if got := s.Max(); got != max {
-		t.Errorf("Max = %v, want exact %v", got, max)
-	}
-	for i := 1; i < s.Len(); i++ {
-		if s.T[i] <= s.T[i-1] {
-			t.Fatalf("decimated timestamps not increasing at %d", i)
-		}
-	}
-	// Decimated values are means of uniform[0,100) buckets: all in range.
-	for i, v := range s.V {
-		if v < 0 || v > 100 {
-			t.Errorf("decimated point %d out of range: %v", i, v)
-		}
-	}
-}
-
-// TestSeriesUncappedUnchanged pins the default path: no cap, every sample
-// retained, Mean/Max as before.
-func TestSeriesUncappedUnchanged(t *testing.T) {
-	var s Series
-	s.Append(1, 5)
-	s.Append(2, 3)
-	s.Append(3, 8)
-	if s.Len() != 3 || s.Samples() != 3 {
-		t.Fatalf("Len=%d Samples=%d, want 3,3", s.Len(), s.Samples())
-	}
-	if s.Mean() != (5+3+8)/3.0 || s.Max() != 8 {
-		t.Errorf("Mean=%v Max=%v", s.Mean(), s.Max())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-order append did not panic")
-		}
-	}()
-	s.Append(2, 1)
-}
-
 // TestWriteRecordsCSVFormat pins the strconv fast path against the
 // fmt.Sprintf formatting it replaced.
 func TestWriteRecordsCSVFormat(t *testing.T) {

@@ -115,11 +115,6 @@ func (c Config) KVBytesPerToken() float64 {
 	return float64(2*c.KVDim()*BytesFP16) * float64(c.Layers)
 }
 
-// KVBytesPerTokenLayer returns the per-layer KV footprint of one token.
-func (c Config) KVBytesPerTokenLayer() float64 {
-	return float64(2 * c.KVDim() * BytesFP16)
-}
-
 // attnParams returns attention weight parameters per layer:
 // Q and output projections (H×H each) plus K and V projections (H×KVDim).
 func (c Config) attnParams() float64 {
@@ -213,22 +208,6 @@ func (c Config) DecodeLayerCost(b int, sumCtx int) LayerCost {
 		FFNFLOPs:    ffn,
 		AttnIOBytes: c.attnParams()*BytesFP16 + 4*lf*h*kvRatio,
 		FFNIOBytes:  c.ffnParams() * BytesFP16,
-	}
-}
-
-// PrefillCost returns whole-model cost of prefilling n tokens.
-func (c Config) PrefillCost(n int) LayerCost { return c.scale(c.PrefillLayerCost(n)) }
-
-// DecodeCost returns whole-model cost of one decode step.
-func (c Config) DecodeCost(b, sumCtx int) LayerCost { return c.scale(c.DecodeLayerCost(b, sumCtx)) }
-
-func (c Config) scale(lc LayerCost) LayerCost {
-	l := float64(c.Layers)
-	return LayerCost{
-		AttnFLOPs:   lc.AttnFLOPs * l,
-		FFNFLOPs:    lc.FFNFLOPs * l,
-		AttnIOBytes: lc.AttnIOBytes * l,
-		FFNIOBytes:  lc.FFNIOBytes * l,
 	}
 }
 

@@ -123,20 +123,6 @@ func TestDecodeIsIOBoundPrefillComputeBound(t *testing.T) {
 	}
 }
 
-func TestWholeModelScaling(t *testing.T) {
-	c := OPT13B
-	lc := c.PrefillLayerCost(100)
-	full := c.PrefillCost(100)
-	if math.Abs(full.FLOPs()-lc.FLOPs()*float64(c.Layers)) > 1 {
-		t.Error("PrefillCost should scale layer cost by Layers")
-	}
-	d := c.DecodeLayerCost(4, 4000)
-	fd := c.DecodeCost(4, 4000)
-	if math.Abs(fd.IOBytes()-d.IOBytes()*float64(c.Layers)) > 1 {
-		t.Error("DecodeCost should scale layer cost by Layers")
-	}
-}
-
 func TestByName(t *testing.T) {
 	c, err := ByName("OPT-66B")
 	if err != nil || c.Layers != 64 {

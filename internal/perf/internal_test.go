@@ -7,53 +7,7 @@ import (
 
 	"windserve/internal/gpu"
 	"windserve/internal/model"
-	"windserve/internal/sim"
 )
-
-func TestOverlapTimesBothFullSpeed(t *testing.T) {
-	// Rates of 1 mean no contention: completion equals isolated time.
-	ta, tb := overlapTimes(2, 3, 1, 1)
-	if ta != 2 || tb != 3 {
-		t.Errorf("overlapTimes(1,1) = %v, %v", ta, tb)
-	}
-}
-
-func TestOverlapTimesShortFirst(t *testing.T) {
-	// A: 1s of work at half speed → finishes at 2s.
-	// B: 10s of work at half speed until A drains (2s wall → 1s of B work
-	// done), then full speed → 2 + 9 = 11s.
-	ta, tb := overlapTimes(1, 10, 0.5, 0.5)
-	if math.Abs(float64(ta)-2) > 1e-12 {
-		t.Errorf("ta = %v, want 2", ta)
-	}
-	if math.Abs(float64(tb)-11) > 1e-12 {
-		t.Errorf("tb = %v, want 11", tb)
-	}
-	// Symmetric case.
-	tb2, ta2 := overlapTimes(10, 1, 0.5, 0.5)
-	if ta2 != ta || tb2 != tb {
-		t.Errorf("asymmetric: %v,%v vs %v,%v", ta2, tb2, ta, tb)
-	}
-}
-
-// Property: overlapTimes never finishes earlier than isolated and never
-// later than fully-contended execution.
-func TestPropertyOverlapTimesBounds(t *testing.T) {
-	f := func(a, b uint16, ra, rb uint8) bool {
-		wa := sim.Duration(float64(a%1000)+1) / 1000
-		wb := sim.Duration(float64(b%1000)+1) / 1000
-		fa := 0.05 + 0.95*float64(ra)/255
-		fb := 0.05 + 0.95*float64(rb)/255
-		ta, tb := overlapTimes(wa, wb, fa, fb)
-		if ta < wa || tb < wb {
-			return false
-		}
-		return ta <= sim.Duration(wa.Seconds()/fa)+1e-12 && tb <= sim.Duration(wb.Seconds()/fb)+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestClamp01(t *testing.T) {
 	cases := []struct{ in, want float64 }{

@@ -294,26 +294,6 @@ func (m *CostModel) DecodeTime(b, sumCtx int) sim.Duration {
 	return m.IterTime(DecodeOnly(b, sumCtx))
 }
 
-// SBDTimes models stream-based disaggregation: the prefill batch and the
-// decode batch start concurrently in separate streams on the same instance,
-// and the returned values are each stream's completion time.
-//
-// While both streams are in flight, the IO-bound decode stream loses the
-// HBM bandwidth the prefill stream's (small) IO demand occupies, and the
-// compute-bound prefill stream loses the SM time the decode stream's
-// (small) compute demand occupies; both pay a fixed concurrency tax. Once
-// the shorter stream drains, the survivor runs at full speed — so a tiny
-// prefill only perturbs the start of a long decode pass, not all of it.
-func (m *CostModel) SBDTimes(prefill Batch, decode Batch) (tp, td sim.Duration) {
-	tpIso := m.IterTime(prefill)
-	tdIso := m.IterTime(decode)
-	if prefill.Empty() || decode.Empty() {
-		return tpIso, tdIso
-	}
-	rp, rd := m.SBDRates(prefill, decode)
-	return overlapTimes(tpIso, tdIso, rp, rd)
-}
-
 // SBDRates returns the progress rates (fraction of isolated speed, 0..1)
 // of the prefill and decode streams while both are in flight.
 //
@@ -364,22 +344,6 @@ func (m *CostModel) SBDPrefillTime(prefill Batch, decode Batch) sim.Duration {
 	}
 	rp, _ := m.SBDRates(prefill, decode)
 	return sim.Duration(tp.Seconds() / rp)
-}
-
-// overlapTimes finishes two jobs with isolated durations wa, wb that run
-// concurrently at degraded rates ra, rb until one completes, after which
-// the survivor proceeds at full rate.
-func overlapTimes(wa, wb sim.Duration, ra, rb float64) (ta, tb sim.Duration) {
-	// Wall time for each if contention lasted forever.
-	fullA := sim.Duration(wa.Seconds() / ra)
-	fullB := sim.Duration(wb.Seconds() / rb)
-	if fullA <= fullB {
-		// A finishes first at fullA; B has done fullA·rb of its work.
-		doneB := sim.Duration(fullA.Seconds() * rb)
-		return fullA, fullA + (wb - doneB)
-	}
-	doneA := sim.Duration(fullB.Seconds() * ra)
-	return fullB + (wa - doneA), fullB
 }
 
 func clamp01(x float64) float64 {

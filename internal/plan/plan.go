@@ -127,13 +127,13 @@ func Search(m model.Config, ds workload.Dataset, ratePerGPU float64, gpuBudget i
 			ds.MaxContext = m.MaxContext
 		}
 		g := workload.NewGenerator(ds, workload.PoissonArrivals{Rate: ratePerGPU * float64(cand.GPUs())}, o.Seed)
-		reqs := g.Generate(o.Requests)
+		src := workload.NewSliceSource(g.Generate(o.Requests))
 		var res *serve.Result
 		switch o.System {
 		case "windserve":
-			res, err = serve.RunWindServe(cfg, reqs)
+			res, err = serve.RunWindServeFrom(cfg, src)
 		case "distserve":
-			res, err = serve.RunDistServe(cfg, reqs)
+			res, err = serve.RunDistServeFrom(cfg, src)
 		default:
 			return nil, fmt.Errorf("plan: unknown system %q", o.System)
 		}
@@ -160,16 +160,4 @@ func Search(m model.Config, ds workload.Dataset, ratePerGPU float64, gpuBudget i
 		return a.GoodputPerGPU > b.GoodputPerGPU
 	})
 	return evals, nil
-}
-
-// Best runs Search and returns only the winner.
-func Best(m model.Config, ds workload.Dataset, ratePerGPU float64, gpuBudget int, o Options) (Evaluation, error) {
-	evals, err := Search(m, ds, ratePerGPU, gpuBudget, o)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	if evals[0].Err != nil {
-		return Evaluation{}, fmt.Errorf("plan: no candidate could run: %w", evals[0].Err)
-	}
-	return evals[0], nil
 }

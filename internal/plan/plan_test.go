@@ -104,18 +104,24 @@ func TestSearchErrors(t *testing.T) {
 		t.Error("unknown system accepted")
 	}
 	// 70B on a 2-GPU budget: every candidate fails to hold weights, so
-	// Best must surface an error.
-	if _, err := Best(model.LLaMA270B, workload.LongBench(), 0.1, 2, Options{Requests: 10}); err == nil {
-		t.Error("impossible budget should fail")
+	// every evaluation must carry its error.
+	evals, err := Search(model.LLaMA270B, workload.LongBench(), 0.1, 2, Options{Requests: 10})
+	if err != nil || len(evals) == 0 {
+		t.Fatalf("evals %v, err %v", evals, err)
+	}
+	for _, ev := range evals {
+		if ev.Err == nil {
+			t.Errorf("impossible budget: %v ran", ev.Candidate)
+		}
 	}
 }
 
 func TestBestReturnsWinner(t *testing.T) {
-	best, err := Best(model.OPT13B, workload.ShareGPT(), 2, 4, Options{Requests: 120})
+	evals, err := Search(model.OPT13B, workload.ShareGPT(), 2, 4, Options{Requests: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best.Candidate.GPUs() != 4 {
-		t.Errorf("best = %v", best.Candidate)
+	if best := evals[0]; best.Err != nil || best.Candidate.GPUs() != 4 {
+		t.Errorf("best = %v (err %v)", best.Candidate, best.Err)
 	}
 }

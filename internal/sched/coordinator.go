@@ -187,11 +187,12 @@ func (p BackupPolicy) ShouldBackup(decodeFreeFrac, prefillFreeFrac float64) bool
 }
 
 // PickBackupCandidate returns the longest running request above the
-// length floor that has no backup yet and is not migrating, or nil.
-func (p BackupPolicy) PickBackupCandidate(running []*engine.Req) *engine.Req {
+// length floor that has no backup yet, none being copied (inFlight, keyed
+// by request id), and is not migrating, or nil. Ties keep the earliest.
+func (p BackupPolicy) PickBackupCandidate(running []*engine.Req, inFlight map[uint64]bool) *engine.Req {
 	var best *engine.Req
 	for _, r := range running {
-		if r.Migrating || r.BackupTokens > 0 || r.Ctx() < p.MinContextTokens {
+		if inFlight[r.W.ID] || r.Migrating || r.BackupTokens > 0 || r.Ctx() < p.MinContextTokens {
 			continue
 		}
 		if best == nil || r.Ctx() > best.Ctx() {

@@ -291,11 +291,23 @@ func TestBackupPolicy(t *testing.T) {
 	short := mkReq(2, 100, 10)
 	backed := mkReq(3, 1900, 10)
 	backed.BackupTokens = 1900
-	got := p.PickBackupCandidate([]*engine.Req{short, long, backed})
+	got := p.PickBackupCandidate([]*engine.Req{short, long, backed}, nil)
 	if got != long {
 		t.Fatalf("candidate = %v, want the long unbacked request", got)
 	}
-	if p.PickBackupCandidate([]*engine.Req{short}) != nil {
+	if p.PickBackupCandidate([]*engine.Req{short}, nil) != nil {
 		t.Error("short requests should not be backed up")
+	}
+	// A request whose backup copy is still in flight is skipped, even
+	// though it is the longest; the next-longest wins.
+	copying := mkReq(4, 1800, 10)
+	inFlight := map[uint64]bool{copying.W.ID: true}
+	if got := p.PickBackupCandidate([]*engine.Req{short, copying, long}, inFlight); got != long {
+		t.Fatalf("candidate = %v, want the long request (req4 is in flight)", got)
+	}
+	// Equal contexts keep the earliest (strict >).
+	twin := mkReq(5, 1500, 10)
+	if got := p.PickBackupCandidate([]*engine.Req{long, twin}, nil); got != long {
+		t.Errorf("tie picked %v, want the earlier request", got)
 	}
 }

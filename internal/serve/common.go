@@ -46,7 +46,7 @@ type runner struct {
 
 	// live indexes in-flight requests by id so the lifecycle machinery
 	// (deadline aborts, cancellation faults) can reach them without a
-	// per-system lookup. Systems never touch it directly: scheduleArrivals
+	// per-system lookup. Systems never touch it directly: admit
 	// adds, recorderHooks' OnComplete and abortReq remove.
 	live map[uint64]*engine.Req
 	// recovered collects ids that survived an instance crash (re-prefilled
@@ -106,11 +106,6 @@ func newRunnerOn(s *sim.Simulator, led Ledger, cfg Config) (*runner, error) {
 		live:      make(map[uint64]*engine.Req),
 		recovered: make(map[uint64]bool),
 	}, nil
-}
-
-// scheduleArrivals feeds a materialized trace into the system via submit.
-func (r *runner) scheduleArrivals(reqs []workload.Request, submit func(*engine.Req)) {
-	r.scheduleStream(workload.NewSliceSource(reqs), submit)
 }
 
 // scheduleStream feeds a request source into the system via submit,

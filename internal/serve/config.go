@@ -94,7 +94,7 @@ type Config struct {
 	// Elastic wires the prefill/decode cluster for runtime role flipping:
 	// full link matrices between same-role instances, role masks, and the
 	// drain/migrate protocol behind Replica.Flip. Only the DistServe-style
-	// cluster (RunDistServe, fleet replicas) supports it; the flip
+	// cluster (RunDistServeFrom, fleet replicas) supports it; the flip
 	// decisions themselves come from the fleet's RoleController. The zero
 	// value keeps the static wiring, so default runs are byte-identical.
 	Elastic bool
@@ -208,14 +208,6 @@ func (c Config) TotalGPUs() int {
 		nd = 1
 	}
 	return np*c.PrefillPlace.GPUs() + nd*c.DecodePlace.GPUs()
-}
-
-// DeriveTPOTSLO computes a TPOT SLO the way the paper does (§5.2): 4× the
-// execution time of one decode iteration for a batch of 16 requests at
-// the workload's average context length, running without prefill
-// interference.
-func DeriveTPOTSLO(cm *perf.CostModel, avgContextTokens int) sim.Duration {
-	return 4 * cm.DecodeTime(16, 16*avgContextTokens)
 }
 
 // DefaultConfig builds the paper's experiment configuration for a model:

@@ -12,7 +12,7 @@ import (
 	"windserve/internal/xfer"
 )
 
-// RunDistServe simulates the static phase-disaggregated baseline: prefill
+// RunDistServeFrom simulates the static phase-disaggregated baseline: prefill
 // and decode instances with FCFS local schedulers and no cross-instance
 // coordination (§2.2). After a prompt prefills, its KV cache crosses the
 // interconnect serially (blocking that request's decode start), the
@@ -21,13 +21,9 @@ import (
 //
 // With multiple instances (Config.NumPrefill/NumDecode), requests are
 // routed round-robin — DistServe's orchestration is static.
-func RunDistServe(cfg Config, reqs []workload.Request) (*Result, error) {
-	return RunDistServeFrom(cfg, workload.NewSliceSource(reqs))
-}
-
-// RunDistServeFrom is RunDistServe fed from a pull-based request source:
-// arrivals are scheduled one at a time as the stream is consumed, so the
-// trace is never materialized.
+//
+// Arrivals are pulled from src one at a time as the stream is consumed,
+// so the trace is never materialized.
 func RunDistServeFrom(cfg Config, src workload.Source) (*Result, error) {
 	r, err := newRunner(cfg)
 	if err != nil {
@@ -98,7 +94,6 @@ type pd struct {
 
 	// stats
 	asyncXfers int
-	flips      int
 }
 
 // flipMigration is one decode stream's flight record between acting decodes.

@@ -97,7 +97,6 @@ func (d *pd) flipToDecode() FlipResult {
 		d.prefillRR(q)
 		requeued++
 	}
-	d.flips++
 	return FlipResult{OK: true, Instance: ins.Name(), ToDecode: true, Requeued: requeued}
 }
 
@@ -140,7 +139,6 @@ func (d *pd) flipToPrefill() FlipResult {
 		d.pFlipped[pick-nd] = false
 	}
 	migrated := d.migrateRunning(pick)
-	d.flips++
 	return FlipResult{OK: true, Instance: ins.Name(), Migrating: migrated}
 }
 

@@ -187,10 +187,10 @@ func TestElasticRejectedOutsideDistServe(t *testing.T) {
 	cfg := cfg13B(t)
 	cfg.Elastic = true
 	reqs := burst(2, 100, 10, sim.Seconds(0.1))
-	if _, err := RunWindServe(cfg, reqs); err == nil {
+	if _, err := RunWindServeFrom(cfg, workload.NewSliceSource(reqs)); err == nil {
 		t.Fatal("WindServe accepted Elastic")
 	}
-	if _, err := RunVLLM(cfg, reqs); err == nil {
+	if _, err := RunVLLMFrom(cfg, workload.NewSliceSource(reqs)); err == nil {
 		t.Fatal("vLLM accepted Elastic")
 	}
 }

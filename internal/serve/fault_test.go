@@ -47,11 +47,11 @@ func TestFaultRunsAreDeterministic(t *testing.T) {
 	cfg.Shed = ShedPolicy{MaxQueueDepth: 64, TTFTDeadline: sim.Seconds(30)}
 	reqs := trace13B(2, 120, 11)
 	for name, run := range allSystems() {
-		a, err := run(cfg, reqs)
+		a, err := run(cfg, workload.NewSliceSource(reqs))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		b, err := run(cfg, reqs)
+		b, err := run(cfg, workload.NewSliceSource(reqs))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -77,7 +77,7 @@ func TestDecodeCrashRecovered(t *testing.T) {
 	cfg.Faults = mustPlan(t, 1, "crash:d0@25")
 	reqs := trace13B(1.5, 100, 3)
 	for name, run := range allSystems() {
-		res, err := run(cfg, reqs)
+		res, err := run(cfg, workload.NewSliceSource(reqs))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -101,7 +101,7 @@ func TestPrefillCrashRecovered(t *testing.T) {
 	cfg.Faults = mustPlan(t, 1, "crash:p0@15+30")
 	reqs := trace13B(1.5, 100, 5)
 	for name, run := range allSystems() {
-		res, err := run(cfg, reqs)
+		res, err := run(cfg, workload.NewSliceSource(reqs))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -122,7 +122,7 @@ func TestSingleInstanceCrashAndRestore(t *testing.T) {
 	cfg.Faults = mustPlan(t, 1, "crash:d0@20+10; crash:p0@40+10")
 	reqs := trace13B(1, 60, 9)
 	for name, run := range allSystems() {
-		res, err := run(cfg, reqs)
+		res, err := run(cfg, workload.NewSliceSource(reqs))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -140,7 +140,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	cfg.Shed.MaxQueueDepth = 2
 	reqs := trace13B(8, 150, 21)
 	for name, run := range allSystems() {
-		res, err := run(cfg, reqs)
+		res, err := run(cfg, workload.NewSliceSource(reqs))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -161,7 +161,7 @@ func TestTTFTDeadlineAborts(t *testing.T) {
 	cfg.Shed.TTFTDeadline = sim.Seconds(1)
 	reqs := trace13B(12, 150, 22)
 	for name, run := range allSystems() {
-		res, err := run(cfg, reqs)
+		res, err := run(cfg, workload.NewSliceSource(reqs))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -185,7 +185,7 @@ func TestCancelFaultPicksSameVictims(t *testing.T) {
 	cfg.Faults = mustPlan(t, 42, "cancel@20x0.4")
 	reqs := trace13B(2, 100, 17)
 	victims := func() map[uint64]bool {
-		res, err := RunWindServe(cfg, reqs)
+		res, err := RunWindServeFrom(cfg, workload.NewSliceSource(reqs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,12 +214,12 @@ func TestCancelFaultPicksSameVictims(t *testing.T) {
 func TestDegradedLinksSlowDistServe(t *testing.T) {
 	cfg := cfg13B(t)
 	reqs := trace13B(1.5, 80, 31)
-	clean, err := RunDistServe(cfg, reqs)
+	clean, err := RunDistServeFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Faults = mustPlan(t, 1, "degrade@0x0.05")
-	slow, err := RunDistServe(cfg, reqs)
+	slow, err := RunDistServeFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,12 +234,12 @@ func TestDegradedLinksSlowDistServe(t *testing.T) {
 func TestSlowdownHurtsLatency(t *testing.T) {
 	cfg := cfg13B(t)
 	reqs := trace13B(1.5, 80, 33)
-	clean, err := RunDistServe(cfg, reqs)
+	clean, err := RunDistServeFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Faults = mustPlan(t, 1, "slow:p0@0x3")
-	slow, err := RunDistServe(cfg, reqs)
+	slow, err := RunDistServeFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestPropertyInvariantsUnderFaults(t *testing.T) {
 		cfg.Faults = mustPlan(t, int64(pi+1), spec)
 		reqs := trace13B(1.5, 90, int64(100+pi))
 		for name, run := range allSystems() {
-			res, err := run(cfg, reqs)
+			res, err := run(cfg, workload.NewSliceSource(reqs))
 			if err != nil {
 				t.Fatalf("plan %q %s: %v", spec, name, err)
 			}
@@ -367,7 +367,7 @@ func TestConfigValidationRejectsBadValues(t *testing.T) {
 		cfg := base
 		tc.mut(&cfg)
 		for name, run := range allSystems() {
-			if _, err := run(cfg, reqs); err == nil {
+			if _, err := run(cfg, workload.NewSliceSource(reqs)); err == nil {
 				t.Errorf("%s: %s accepted", name, tc.name)
 			}
 		}
@@ -375,7 +375,7 @@ func TestConfigValidationRejectsBadValues(t *testing.T) {
 	// A large-but-legal ThresholdFrac stays accepted (Fig. 5 sweeps it).
 	cfg := base
 	cfg.Wind.ThresholdFrac = 40
-	if _, err := RunWindServe(cfg, trace13B(1, 3, 1)); err != nil {
+	if _, err := RunWindServeFrom(cfg, workload.NewSliceSource(trace13B(1, 3, 1))); err != nil {
 		t.Errorf("ThresholdFrac 40 rejected: %v", err)
 	}
 }

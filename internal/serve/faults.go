@@ -51,7 +51,7 @@ func installPDFaults(r *runner, d *pd) error {
 			}
 		},
 		SetLinkDegrade: d.degradeLinks,
-		Cancel:         r.cancelFrac,
+		CancelFrac:     r.cancelFrac,
 	}
 	return fault.Apply(r.s, r.cfg.Faults, h)
 }
@@ -87,7 +87,7 @@ func installVLLMFaults(r *runner, instances []*engine.Instance, route func(q *en
 		SetSlowdown: func(_ fault.Role, idx int, factor float64) {
 			pick(idx).SetSlowdown(factor)
 		},
-		Cancel: r.cancelFrac,
+		CancelFrac: r.cancelFrac,
 	}
 	return fault.Apply(r.s, r.cfg.Faults, h)
 }

@@ -21,7 +21,7 @@ func TestPropertySystemInvariants(t *testing.T) {
 		name string
 		run  runFn
 	}{
-		{"vLLM", RunVLLM}, {"DistServe", RunDistServe}, {"WindServe", RunWindServe},
+		{"vLLM", RunVLLMFrom}, {"DistServe", RunDistServeFrom}, {"WindServe", RunWindServeFrom},
 	}
 	models := []model.Config{model.OPT13B, model.LLaMA213B}
 	datasets := []workload.Dataset{workload.ShareGPT(), workload.LongBench()}
@@ -47,7 +47,7 @@ func TestPropertySystemInvariants(t *testing.T) {
 			byID[w.ID] = w
 		}
 		for _, sys := range systems {
-			res, err := sys.run(cfg, reqs)
+			res, err := sys.run(cfg, workload.NewSliceSource(reqs))
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, sys.name, err)
 			}
@@ -92,7 +92,7 @@ func TestPropertyLifecyclePartitionUnderFaults(t *testing.T) {
 		name string
 		run  runFn
 	}{
-		{"vLLM", RunVLLM}, {"DistServe", RunDistServe}, {"WindServe", RunWindServe},
+		{"vLLM", RunVLLMFrom}, {"DistServe", RunDistServeFrom}, {"WindServe", RunWindServeFrom},
 	}
 	plans := []string{
 		"crash:d0@20+10; cancel@25x0.2",
@@ -106,7 +106,7 @@ func TestPropertyLifecyclePartitionUnderFaults(t *testing.T) {
 		cfg.Faults = mustPlan(t, int64(trial)+1, spec)
 		reqs := trace13B(4, 200, int64(trial)+100)
 		for _, sys := range systems {
-			res, err := sys.run(cfg, reqs)
+			res, err := sys.run(cfg, workload.NewSliceSource(reqs))
 			if err != nil {
 				t.Fatalf("plan %d %s: %v", trial, sys.name, err)
 			}
@@ -149,7 +149,7 @@ func TestSameTraceAcrossSystems(t *testing.T) {
 	cfg := cfg13B(t)
 	reqs := trace13B(3, 100, 5)
 	for name, run := range allSystems() {
-		res, err := run(cfg, reqs)
+		res, err := run(cfg, workload.NewSliceSource(reqs))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ func TestQueueMatchesMD1(t *testing.T) {
 	// Measure the deterministic service time S of one pass by serving a
 	// single request far from any queueing.
 	probe := workload.NewGenerator(workload.Fixed(prompt, 1, 2048), workload.UniformArrivals{Rate: 0.01}, 1)
-	pres, err := RunDistServe(cfg, probe.Generate(1))
+	pres, err := RunDistServeFrom(cfg, workload.NewSliceSource(probe.Generate(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestQueueMatchesMD1(t *testing.T) {
 		lambda := rho / S
 		g := workload.NewGenerator(workload.Fixed(prompt, 1, 2048), workload.PoissonArrivals{Rate: lambda}, 7)
 		reqs := g.Generate(4000)
-		res, err := RunDistServe(cfg, reqs)
+		res, err := RunDistServeFrom(cfg, workload.NewSliceSource(reqs))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func TestMultiInstanceDrainsAllSystems(t *testing.T) {
 	g := workload.NewGenerator(workload.ShareGPT(), workload.PoissonArrivals{Rate: 3 * 8}, 42)
 	reqs := g.Generate(400)
 	for name, run := range allSystems() {
-		res, err := run(cfg, reqs)
+		res, err := run(cfg, workload.NewSliceSource(reqs))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -47,11 +47,11 @@ func TestLinearScalingAcrossInstances(t *testing.T) {
 		g := workload.NewGenerator(workload.ShareGPT(), workload.PoissonArrivals{Rate: rate * float64(cfg.TotalGPUs())}, seed)
 		return g.Generate(500)
 	}
-	s, err := RunWindServe(single, mk(single, 42))
+	s, err := RunWindServeFrom(single, workload.NewSliceSource(mk(single, 42)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := RunWindServe(double, mk(double, 42))
+	d, err := RunWindServeFrom(double, workload.NewSliceSource(mk(double, 42)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestMultiInstanceWindServeMechanisms(t *testing.T) {
 	cfg.DecodePlace = perf.Placement{TP: 1, PP: 1}
 	g := workload.NewGenerator(workload.ShareGPT(), workload.PoissonArrivals{Rate: 3 * float64(cfg.TotalGPUs())}, 42)
 	reqs := g.Generate(500)
-	res, err := RunWindServe(cfg, reqs)
+	res, err := RunWindServeFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestMultiInstanceDistServeRoundRobins(t *testing.T) {
 	cfg := multiCfg(t)
 	g := workload.NewGenerator(workload.ShareGPT(), workload.PoissonArrivals{Rate: 2 * 8}, 9)
 	reqs := g.Generate(200)
-	res, err := RunDistServe(cfg, reqs)
+	res, err := RunDistServeFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestMultiInstanceRejectsOversizedDeployment(t *testing.T) {
 	cfg.NumPrefill = 3
 	cfg.NumDecode = 2 // 10 GPUs on an 8-GPU testbed
 	g := workload.NewGenerator(workload.ShareGPT(), workload.PoissonArrivals{Rate: 8}, 1)
-	if _, err := RunDistServe(cfg, g.Generate(10)); err == nil {
+	if _, err := RunDistServeFrom(cfg, workload.NewSliceSource(g.Generate(10))); err == nil {
 		t.Fatal("oversubscribed deployment accepted")
 	}
 }

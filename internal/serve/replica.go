@@ -63,11 +63,6 @@ func NewReplica(s *sim.Simulator, led Ledger, cfg Config, onComplete func(q *eng
 
 func (rp *Replica) Name() string { return rp.name }
 
-// Down reports whether the replica is crashed at the fleet level (between
-// Crash and Restore). A partitioned replica is NOT down — it keeps
-// executing; only the router stops talking to it.
-func (rp *Replica) Down() bool { return rp.down }
-
 // QueueDepth is the replica's load signal: requests waiting for prefill
 // anywhere plus prefilled requests stuck waiting for decode KV.
 func (rp *Replica) QueueDepth() int { return rp.d.queueDepth() }
@@ -185,9 +180,6 @@ func (rp *Replica) Flip(toDecode bool) FlipResult {
 	}
 	return rp.d.flip(toDecode)
 }
-
-// Flips is how many role flips this replica has executed.
-func (rp *Replica) Flips() int { return rp.d.flips }
 
 // CostModels exposes the planned prefill and decode instance cost models
 // (first instance of each role — replicas deploy identical shapes). The

@@ -28,7 +28,7 @@ func TestRetryTransfersFCFS(t *testing.T) {
 
 	g := workload.NewGenerator(workload.Fixed(1024, 512, 2048), workload.PoissonArrivals{Rate: 60}, 11)
 	reqs := g.Generate(400)
-	res, err := RunDistServe(cfg, reqs)
+	res, err := RunDistServeFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}

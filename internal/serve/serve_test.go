@@ -25,13 +25,13 @@ func cfg13B(t *testing.T) Config {
 	return cfg
 }
 
-type runFn func(Config, []workload.Request) (*Result, error)
+type runFn func(Config, workload.Source) (*Result, error)
 
 func allSystems() map[string]runFn {
 	return map[string]runFn{
-		"vLLM":      RunVLLM,
-		"DistServe": RunDistServe,
-		"WindServe": RunWindServe,
+		"vLLM":      RunVLLMFrom,
+		"DistServe": RunDistServeFrom,
+		"WindServe": RunWindServeFrom,
 	}
 }
 
@@ -39,7 +39,7 @@ func TestAllSystemsDrainModerateLoad(t *testing.T) {
 	cfg := cfg13B(t)
 	reqs := trace13B(2, 250, 42)
 	for name, run := range allSystems() {
-		res, err := run(cfg, reqs)
+		res, err := run(cfg, workload.NewSliceSource(reqs))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -64,7 +64,7 @@ func TestNoKVLeaks(t *testing.T) {
 	cfg := cfg13B(t)
 	reqs := trace13B(5, 400, 7)
 	for name, run := range allSystems() {
-		res, err := run(cfg, reqs)
+		res, err := run(cfg, workload.NewSliceSource(reqs))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -83,11 +83,11 @@ func TestDeterminism(t *testing.T) {
 	cfg := cfg13B(t)
 	reqs := trace13B(4, 200, 11)
 	for name, run := range allSystems() {
-		a, err := run(cfg, reqs)
+		a, err := run(cfg, workload.NewSliceSource(reqs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := run(cfg, reqs)
+		b, err := run(cfg, workload.NewSliceSource(reqs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestTTFTIncludesQueueing(t *testing.T) {
 	// Under overload the median TTFT must blow past pure prefill time for
 	// the baselines (queuing), evidencing Fig. 1/3 behavior.
 	cfg := cfg13B(t)
-	res, err := RunDistServe(cfg, trace13B(6, 400, 3))
+	res, err := RunDistServeFrom(cfg, workload.NewSliceSource(trace13B(6, 400, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,15 +119,15 @@ func TestTTFTIncludesQueueing(t *testing.T) {
 func TestWindServeBeatsBaselinesAtHighRate(t *testing.T) {
 	cfg := cfg13B(t)
 	reqs := trace13B(4, 500, 42)
-	wind, err := RunWindServe(cfg, reqs)
+	wind, err := RunWindServeFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := RunDistServe(cfg, reqs)
+	dist, err := RunDistServeFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	vllm, err := RunVLLM(cfg, reqs)
+	vllm, err := RunVLLMFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestWindServeBeatsBaselinesAtHighRate(t *testing.T) {
 
 func TestVLLMNeverTransfers(t *testing.T) {
 	cfg := cfg13B(t)
-	res, err := RunVLLM(cfg, trace13B(2, 150, 5))
+	res, err := RunVLLMFrom(cfg, workload.NewSliceSource(trace13B(2, 150, 5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestVLLMNeverTransfers(t *testing.T) {
 
 func TestDistServePaysTransferDelay(t *testing.T) {
 	cfg := cfg13B(t)
-	res, err := RunDistServe(cfg, trace13B(2, 200, 5))
+	res, err := RunDistServeFrom(cfg, workload.NewSliceSource(trace13B(2, 200, 5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +185,11 @@ func TestDistServePaysTransferDelay(t *testing.T) {
 func TestWindServeAsyncTransferHidesLatency(t *testing.T) {
 	cfg := cfg13B(t)
 	reqs := trace13B(2, 200, 5)
-	wind, err := RunWindServe(cfg, reqs)
+	wind, err := RunWindServeFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := RunDistServe(cfg, reqs)
+	dist, err := RunDistServeFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestWindServeAsyncTransferHidesLatency(t *testing.T) {
 	}
 	// Ablation: disabling async transfer restores the serial delay.
 	cfg.Wind.DisableAsyncTransfer = true
-	noAsync, err := RunWindServe(cfg, reqs)
+	noAsync, err := RunWindServeFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestWindServeReschedulingUnderMemoryPressure(t *testing.T) {
 	// Force decode KV pressure at a high rate; rescheduling and backups
 	// must engage (Fig. 13b's mechanism).
 	cfg := cfg13B(t)
-	res, err := RunWindServe(cfg, trace13B(6, 600, 42))
+	res, err := RunWindServeFrom(cfg, workload.NewSliceSource(trace13B(6, 600, 42)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,13 +237,13 @@ func TestWindServeReschedulingUnderMemoryPressure(t *testing.T) {
 func TestAblationFlagsChangeBehavior(t *testing.T) {
 	cfg := cfg13B(t)
 	reqs := trace13B(5, 400, 9)
-	full, err := RunWindServe(cfg, reqs)
+	full, err := RunWindServeFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgNS := cfg
 	cfgNS.Wind.DisableSBD = true
-	noSplit, err := RunWindServe(cfgNS, reqs)
+	noSplit, err := RunWindServeFrom(cfgNS, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestAblationFlagsChangeBehavior(t *testing.T) {
 	}
 	cfgNR := cfg
 	cfgNR.Wind.DisableResched = true
-	noRe, err := RunWindServe(cfgNR, reqs)
+	noRe, err := RunWindServeFrom(cfgNR, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestAblationFlagsChangeBehavior(t *testing.T) {
 	// No-dispatch behaves like DistServe on the dispatch axis.
 	cfgND := cfg
 	cfgND.Wind.DisableDispatch = true
-	noDisp, err := RunWindServe(cfgND, reqs)
+	noDisp, err := RunWindServeFrom(cfgND, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,13 +288,13 @@ func TestSBDAblationHurtsTPOT(t *testing.T) {
 	// WindServe's (paper Fig. 13a).
 	cfg := cfg13B(t)
 	reqs := trace13B(5, 500, 21)
-	full, err := RunWindServe(cfg, reqs)
+	full, err := RunWindServeFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgNS := cfg
 	cfgNS.Wind.DisableSBD = true
-	noSplit, err := RunWindServe(cfgNS, reqs)
+	noSplit, err := RunWindServeFrom(cfgNS, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestUtilizationShapesMatchFig2(t *testing.T) {
 	// Fig. 2: prefill instances are compute-heavy, decode instances are
 	// bandwidth-heavy; both leave headroom.
 	cfg := cfg13B(t)
-	res, err := RunDistServe(cfg, trace13B(4, 400, 42))
+	res, err := RunDistServeFrom(cfg, workload.NewSliceSource(trace13B(4, 400, 42)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestLLaMA70BLongBenchEndToEnd(t *testing.T) {
 	g := workload.NewGenerator(workload.LongBench(), workload.PoissonArrivals{Rate: 0.25 * 8}, 42)
 	reqs := g.Generate(120)
 	for name, run := range allSystems() {
-		res, err := run(cfg, reqs)
+		res, err := run(cfg, workload.NewSliceSource(reqs))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -378,7 +378,7 @@ func TestLLaMA70BLongBenchEndToEnd(t *testing.T) {
 func TestSaturatedSystemHitsHorizonGracefully(t *testing.T) {
 	cfg := cfg13B(t)
 	cfg.Horizon = sim.Seconds(30) // tight horizon
-	res, err := RunDistServe(cfg, trace13B(20, 2000, 1))
+	res, err := RunDistServeFrom(cfg, workload.NewSliceSource(trace13B(20, 2000, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestSaturatedSystemHitsHorizonGracefully(t *testing.T) {
 
 func TestDecodeQueueDelayMetricConsistency(t *testing.T) {
 	cfg := cfg13B(t)
-	res, err := RunWindServe(cfg, trace13B(3, 300, 13))
+	res, err := RunWindServeFrom(cfg, workload.NewSliceSource(trace13B(3, 300, 13)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestThresholdTradeoffFig5Shape(t *testing.T) {
 	att := func(frac float64) float64 {
 		c := cfg
 		c.Wind.ThresholdFrac = frac
-		res, err := RunWindServe(c, reqs)
+		res, err := RunWindServeFrom(c, workload.NewSliceSource(reqs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,7 +443,7 @@ func TestPendingTransfersQueueAndDrain(t *testing.T) {
 	cfg.DecodePlace = perf.Placement{TP: 1, PP: 1}
 	g := workload.NewGenerator(workload.ShareGPT(), workload.PoissonArrivals{Rate: 3 * 3}, 42)
 	reqs := g.Generate(400)
-	res, err := RunDistServe(cfg, reqs)
+	res, err := RunDistServeFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestMigrationAbortPathsSurviveShortOutputs(t *testing.T) {
 	ds.MaxContext = cfg.Model.MaxContext
 	g := workload.NewGenerator(ds, workload.PoissonArrivals{Rate: 2 * 3}, 42)
 	reqs := g.Generate(500)
-	res, err := RunWindServe(cfg, reqs)
+	res, err := RunWindServeFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,9 +484,10 @@ func TestMigrationAbortPathsSurviveShortOutputs(t *testing.T) {
 }
 
 func TestDeriveTPOTSLOTracksTable4(t *testing.T) {
-	// §5.2's rule (TPOT SLO = 4× a decode iteration at batch 16 and the
-	// dataset's average context) should land within the order of magnitude
-	// of Table 4 on our calibrated substrate.
+	// §5.2's rule (TPOT SLO = 4× the execution time of one decode iteration
+	// at batch 16 and the dataset's average context, without prefill
+	// interference) should land within the order of magnitude of Table 4
+	// on our calibrated substrate.
 	cases := []struct {
 		m      model.Config
 		avgCtx int // dataset average prompt+output
@@ -506,7 +507,7 @@ func TestDeriveTPOTSLOTracksTable4(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		derived := DeriveTPOTSLO(cm, c.avgCtx)
+		derived := 4 * cm.DecodeTime(16, 16*c.avgCtx)
 		ratio := derived.Seconds() / cfg.SLO.TPOT.Seconds()
 		// Our simulated backend is faster than the authors' for some
 		// models, so require order-of-magnitude agreement.
@@ -536,7 +537,7 @@ func TestConfigDefaultsFilled(t *testing.T) {
 
 func TestResultString(t *testing.T) {
 	cfg := cfg13B(t)
-	res, err := RunVLLM(cfg, trace13B(1, 50, 2))
+	res, err := RunVLLMFrom(cfg, workload.NewSliceSource(trace13B(1, 50, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,13 +34,13 @@ func TestStreamingRunAgreesWithExact(t *testing.T) {
 		workload.PoissonArrivals{Rate: 3.0 * float64(cfg.TotalGPUs())}, 42)
 	reqs := g.Generate(800)
 
-	exact, err := RunWindServe(cfg, reqs)
+	exact, err := RunWindServeFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	scfg := cfg
 	scfg.Stream = StreamPolicy{Enabled: true, MaxRecords: 100}
-	stream, err := RunWindServe(scfg, reqs)
+	stream, err := RunWindServeFrom(scfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestStreamingSourceMatchesSlice(t *testing.T) {
 	reqs := workload.NewGenerator(workload.ShareGPT(), workload.PoissonArrivals{Rate: rate}, 7).Generate(500)
 	src := workload.NewGenerator(workload.ShareGPT(), workload.PoissonArrivals{Rate: rate}, 7).Source(500)
 
-	a, err := RunDistServe(cfg, reqs)
+	a, err := RunDistServeFrom(cfg, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"windserve/internal/sched"
 	"windserve/internal/trace"
+	"windserve/internal/workload"
 )
 
 // runTraced runs WindServe with full observability on and returns the
@@ -13,7 +14,7 @@ func runTraced(t *testing.T, cfg Config, rate float64, n int) (*Result, *trace.T
 	t.Helper()
 	cfg.Tracer = trace.New()
 	cfg.Decisions = sched.NewDecisionLog()
-	res, err := RunWindServe(cfg, trace13B(rate, n, 42))
+	res, err := RunWindServeFrom(cfg, workload.NewSliceSource(trace13B(rate, n, 42)))
 	if err != nil {
 		t.Fatal(err)
 	}

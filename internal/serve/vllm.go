@@ -10,7 +10,7 @@ import (
 	"windserve/internal/xfer"
 )
 
-// RunVLLM simulates the co-located baseline: continuous batching with
+// RunVLLMFrom simulates the co-located baseline: continuous batching with
 // chunked prefill enabled (the configuration the paper compares against,
 // vLLM v0.4.2 with chunked prefill). Prefill and decode jobs share hybrid
 // batches, so each decode iteration pays the prefill chunks' latency —
@@ -19,12 +19,8 @@ import (
 // To occupy the same GPU budget as the disaggregated pair (the paper's
 // linear scaling rule compares per-GPU rates), vLLM deploys
 // (prefill+decode GPUs) / ColocatedPlace.GPUs() identical replicas with
-// round-robin request routing.
-func RunVLLM(cfg Config, reqs []workload.Request) (*Result, error) {
-	return RunVLLMFrom(cfg, workload.NewSliceSource(reqs))
-}
-
-// RunVLLMFrom is RunVLLM fed from a pull-based request source.
+// round-robin request routing. Arrivals are pulled from src one at a
+// time.
 func RunVLLMFrom(cfg Config, src workload.Source) (*Result, error) {
 	if cfg.Elastic {
 		return nil, fmt.Errorf("serve: vLLM colocates both phases on every instance; Elastic applies to DistServe-style clusters only")

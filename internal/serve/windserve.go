@@ -11,7 +11,7 @@ import (
 	"windserve/internal/workload"
 )
 
-// RunWindServe simulates the paper's system: phase disaggregation plus
+// RunWindServeFrom simulates the paper's system: phase disaggregation plus
 //
 //   - a Global Scheduler whose Profiler predicts iteration times from
 //     offline regression (eqs. 1–2) and whose Coordinator runs Dynamic
@@ -29,12 +29,8 @@ import (
 // arrivals go to the least-loaded prefill instance, transfers and
 // dispatches target the decode instance with the most free KV, and
 // migrations pick the prefill instance with the most spare blocks.
-// The ablations of §5.4 are flags in Config.Wind.
-func RunWindServe(cfg Config, reqs []workload.Request) (*Result, error) {
-	return RunWindServeFrom(cfg, workload.NewSliceSource(reqs))
-}
-
-// RunWindServeFrom is RunWindServe fed from a pull-based request source.
+// The ablations of §5.4 are flags in Config.Wind. Arrivals are pulled
+// from src one at a time.
 func RunWindServeFrom(cfg Config, src workload.Source) (*Result, error) {
 	if cfg.Elastic {
 		return nil, fmt.Errorf("serve: WindServe manages roles through its Global Scheduler; Elastic applies to DistServe-style clusters only")
@@ -563,18 +559,7 @@ func (w *windState) maybeBackup(j int, decodeFreeFrac float64) {
 	if !pol.ShouldBackup(decodeFreeFrac, prefillFree) {
 		return
 	}
-	var cand *engine.Req
-	for _, q := range w.d.decodes[j].Running() {
-		if w.backupInFlight[q.W.ID] {
-			continue
-		}
-		if q.Migrating || q.BackupTokens > 0 || q.Ctx() < pol.MinContextTokens {
-			continue
-		}
-		if cand == nil || q.Ctx() > cand.Ctx() {
-			cand = q
-		}
-	}
+	cand := pol.PickBackupCandidate(w.d.decodes[j].Running(), w.backupInFlight)
 	if cand == nil {
 		return
 	}

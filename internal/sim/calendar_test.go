@@ -37,7 +37,7 @@ func (h *refHeap) Pop() any {
 }
 
 // TestCalendarHeapEquivalence drives the calendar queue and the reference
-// heap through the same random push/cancel/pop script and checks they
+// heap through the same random push/remove/pop script and checks they
 // yield the exact same event at every pop — including FIFO order among
 // equal timestamps, which the grid delays force constantly.
 func TestCalendarHeapEquivalence(t *testing.T) {

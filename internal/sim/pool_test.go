@@ -2,71 +2,6 @@ package sim
 
 import "testing"
 
-// TestCancelStaleAfterFire pins the event-pool safety contract: an
-// EventID held past its event's firing must stay inert even after the
-// underlying struct is recycled into a new, still-pending event.
-func TestCancelStaleAfterFire(t *testing.T) {
-	s := New()
-	fired := 0
-	id1 := s.Schedule(1, func() { fired++ })
-	if !s.Step() {
-		t.Fatal("no event fired")
-	}
-	// The struct behind id1 is now on the free list; this Schedule
-	// recycles it as a fresh incarnation.
-	id2 := s.Schedule(1, func() { fired++ })
-	if s.Cancel(id1) {
-		t.Fatal("stale Cancel of a fired event succeeded")
-	}
-	if !s.Step() {
-		t.Fatal("recycled event did not fire — stale Cancel killed it")
-	}
-	if fired != 2 {
-		t.Fatalf("fired %d events, want 2", fired)
-	}
-	if s.Cancel(id2) {
-		t.Fatal("Cancel after fire should be a no-op")
-	}
-}
-
-// TestCancelStaleAfterCancel does the same across a Cancel-driven recycle.
-func TestCancelStaleAfterCancel(t *testing.T) {
-	s := New()
-	id1 := s.Schedule(1, func() {})
-	if !s.Cancel(id1) {
-		t.Fatal("first Cancel failed")
-	}
-	ran := false
-	s.Schedule(1, func() { ran = true })
-	if s.Cancel(id1) {
-		t.Fatal("double Cancel succeeded against the recycled event")
-	}
-	s.RunAll()
-	if !ran {
-		t.Fatal("recycled event did not run")
-	}
-}
-
-// TestSelfCancelDuringFire: a callback cancelling its own (already
-// popped) event must be a no-op, and must not corrupt the free list.
-func TestSelfCancelDuringFire(t *testing.T) {
-	s := New()
-	var id EventID
-	id = s.Schedule(1, func() {
-		if s.Cancel(id) {
-			t.Error("self-Cancel during fire succeeded")
-		}
-	})
-	s.RunAll()
-	n := 0
-	s.Schedule(1, func() { n++ })
-	s.Schedule(2, func() { n++ })
-	s.RunAll()
-	if n != 2 {
-		t.Fatalf("post-recycle events fired %d times, want 2", n)
-	}
-}
-
 // TestPoolReusesEvents checks the free list actually eliminates steady-
 // state allocation: schedule/fire cycles after warm-up allocate nothing.
 func TestPoolReusesEvents(t *testing.T) {

@@ -46,18 +46,17 @@ func (d Duration) Milliseconds() float64 { return float64(d) * 1e3 }
 func (t Time) String() string     { return fmt.Sprintf("%.6fs", float64(t)) }
 func (d Duration) String() string { return fmt.Sprintf("%.3fms", float64(d)*1e3) }
 
-// event is a scheduled callback. Events are pooled: once fired or
-// cancelled, the struct goes on the simulator's free list and is reused
-// by a later Schedule. gen distinguishes the incarnations, so an EventID
-// held across a recycle can never cancel the wrong event.
+// event is a scheduled callback. Events are pooled: once fired, the
+// struct goes on the simulator's free list and is reused by a later
+// Schedule. No handle to an event escapes the kernel, so a recycled
+// struct can never be reached through a stale reference.
 type event struct {
 	at     Time
 	seq    uint64 // tie-breaker: FIFO among same-time events
 	fn     func()
-	epoch  int64  // absolute calendar-bucket number at insertion width
-	bucket int    // owning bucket, fixed by epoch & mask
-	index  int    // position within the bucket, -1 when popped/cancelled
-	gen    uint64 // incarnation counter, bumped on every recycle
+	epoch  int64 // absolute calendar-bucket number at insertion width
+	bucket int   // owning bucket, fixed by epoch & mask
+	index  int   // position within the bucket
 }
 
 // before reports whether e fires ahead of other in the kernel's total
@@ -73,7 +72,7 @@ func (e *event) before(other *event) bool {
 // queue (Brown, CACM 1988): virtual time is cut into windows of `width`
 // seconds, window k maps to bucket k mod nbuckets, and a cursor sweeps
 // windows in order. With the bucket count resized to track the event
-// population, Schedule, Cancel, and pop are all O(1) amortized — against
+// population, Schedule and pop are both O(1) amortized — against
 // the binary heap's O(log n) — which is what makes million-request
 // horizons with tens of thousands of pending events affordable.
 //
@@ -157,7 +156,6 @@ func (q *calendarQueue) remove(ev *event) {
 	}
 	b[last] = nil
 	q.buckets[ev.bucket] = b[:last]
-	ev.index = -1
 	q.n--
 	if q.n < len(q.buckets)/2 && len(q.buckets) > minBuckets {
 		q.resize(len(q.buckets) / 2)
@@ -277,28 +275,14 @@ func (q *calendarQueue) sampleWidth() Time {
 	return Time(w)
 }
 
-// EventID identifies a scheduled event so it can be cancelled. The id
-// captures the event's incarnation, so holding one past the event's
-// firing (after which the struct may be recycled into an unrelated
-// event) is safe: Cancel on a stale id is a no-op.
-type EventID struct {
-	ev  *event
-	gen uint64
-}
-
-// Valid reports whether the id refers to a (possibly already fired) event.
-func (id EventID) Valid() bool { return id.ev != nil }
-
 // Simulator is a single-threaded discrete-event scheduler.
 // The zero value is not usable; call New.
 type Simulator struct {
 	now       Time
 	q         *calendarQueue
 	seq       uint64
-	fired     uint64
 	lastFired Time
-	halted    bool
-	// free recycles fired/cancelled event structs. Bounded by the peak
+	// free recycles fired event structs. Bounded by the peak
 	// number of simultaneously pending events, it eliminates the
 	// per-Schedule heap allocation on the kernel's hottest path.
 	free []*event
@@ -312,23 +296,20 @@ func New() *Simulator {
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Fired returns how many events have executed so far.
-func (s *Simulator) Fired() uint64 { return s.fired }
-
 // Pending returns the number of scheduled-but-unfired events.
 func (s *Simulator) Pending() int { return s.q.n }
 
 // Schedule runs fn after delay d (>= 0). Scheduling in the past panics,
 // since it indicates a cost-model bug rather than a recoverable condition.
-func (s *Simulator) Schedule(d Duration, fn func()) EventID {
+func (s *Simulator) Schedule(d Duration, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return s.At(s.now.Add(d), fn)
+	s.At(s.now.Add(d), fn)
 }
 
 // At runs fn at absolute time t (>= Now).
-func (s *Simulator) At(t Time, fn func()) EventID {
+func (s *Simulator) At(t Time, fn func()) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
 	}
@@ -339,7 +320,6 @@ func (s *Simulator) At(t Time, fn func()) EventID {
 	ev.at, ev.seq, ev.fn = t, s.seq, fn
 	s.seq++
 	s.q.push(ev)
-	return EventID{ev: ev, gen: ev.gen}
 }
 
 // alloc takes an event off the free list, or allocates the list's first
@@ -354,28 +334,6 @@ func (s *Simulator) alloc() *event {
 	return &event{}
 }
 
-// recycle retires an event to the free list. Bumping gen first
-// invalidates every outstanding EventID for this incarnation.
-func (s *Simulator) recycle(ev *event) {
-	ev.fn = nil
-	ev.gen++
-	s.free = append(s.free, ev)
-}
-
-// Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op and returns false.
-func (s *Simulator) Cancel(id EventID) bool {
-	if id.ev == nil || id.ev.gen != id.gen || id.ev.index < 0 {
-		return false
-	}
-	s.q.remove(id.ev)
-	s.recycle(id.ev)
-	return true
-}
-
-// Halt stops the run loop after the current event returns.
-func (s *Simulator) Halt() { s.halted = true }
-
 // Step fires the single earliest pending event, if any, advancing the clock.
 // It reports whether an event fired.
 func (s *Simulator) Step() bool {
@@ -388,22 +346,20 @@ func (s *Simulator) Step() bool {
 	}
 	s.now = ev.at
 	s.lastFired = ev.at
-	s.fired++
 	fn := ev.fn
 	// Recycle before firing: the callback's own Schedule calls may reuse
-	// the struct immediately, and the gen bump keeps any EventID the
-	// callback still holds for *this* firing inert.
-	s.recycle(ev)
+	// the struct immediately.
+	ev.fn = nil
+	s.free = append(s.free, ev)
 	fn()
 	return true
 }
 
-// Run fires events in order until no events remain, the horizon is passed,
-// or Halt is called. The clock is left at the last fired event (or at the
-// horizon, whichever is smaller, if events remain beyond it).
+// Run fires events in order until no events remain or the horizon is
+// passed. The clock is left at the last fired event (or at the horizon,
+// whichever is smaller, if events remain beyond it).
 func (s *Simulator) Run(until Time) {
-	s.halted = false
-	for !s.halted {
+	for {
 		next := s.q.peek()
 		if next == nil {
 			return
@@ -416,7 +372,7 @@ func (s *Simulator) Run(until Time) {
 	}
 }
 
-// RunAll fires all events until the queue drains or Halt is called.
+// RunAll fires all events until the queue drains.
 func (s *Simulator) RunAll() { s.Run(Forever) }
 
 // NextAt returns the time of the earliest pending event, if any.
@@ -438,8 +394,7 @@ func (s *Simulator) LastFired() Time { return s.lastFired }
 // exhausted and the clock parked on the boundary so cross-shard messages
 // delivered at >= end can be scheduled without violating At's no-past rule.
 func (s *Simulator) RunWindow(end Time) {
-	s.halted = false
-	for !s.halted {
+	for {
 		next := s.q.peek()
 		if next == nil || next.at >= end {
 			break

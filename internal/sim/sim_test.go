@@ -74,66 +74,32 @@ func TestRunUntilHorizon(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	s := New()
-	fired := false
-	id := s.Schedule(1, func() { fired = true })
-	if !s.Cancel(id) {
-		t.Fatal("Cancel returned false for pending event")
-	}
-	if s.Cancel(id) {
-		t.Fatal("double Cancel returned true")
-	}
-	s.RunAll()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	var zero EventID
-	if zero.Valid() {
-		t.Fatal("zero EventID should be invalid")
-	}
-	if s.Cancel(zero) {
-		t.Fatal("Cancel of zero id returned true")
-	}
-}
-
+// TestCancelMiddleOfHeap removes events from the middle of their buckets
+// (the swap-with-last unlink pop relies on) and checks the survivors
+// still leave the queue in (at, seq) order.
 func TestCancelMiddleOfHeap(t *testing.T) {
-	s := New()
-	var got []int
-	var ids []EventID
+	q := newCalendarQueue()
+	var evs []*event
 	for i := 0; i < 20; i++ {
-		i := i
-		ids = append(ids, s.Schedule(Duration(i), func() { got = append(got, i) }))
+		ev := &event{at: Time(i), seq: uint64(i)}
+		q.push(ev)
+		evs = append(evs, ev)
 	}
-	// Cancel all odd events.
+	// Remove all odd events.
 	for i := 1; i < 20; i += 2 {
-		s.Cancel(ids[i])
+		q.remove(evs[i])
 	}
-	s.RunAll()
+	var got []Time
+	for ev := q.pop(); ev != nil; ev = q.pop() {
+		got = append(got, ev.at)
+	}
 	if len(got) != 10 {
 		t.Fatalf("got %d events, want 10: %v", len(got), got)
 	}
-	for _, v := range got {
-		if v%2 != 0 {
-			t.Fatalf("cancelled event %d fired", v)
+	for i, at := range got {
+		if at != Time(2*i) {
+			t.Fatalf("event %d fired at %v, want %v: %v", i, at, Time(2*i), got)
 		}
-	}
-}
-
-func TestHalt(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.Schedule(Duration(i), func() {
-			count++
-			if count == 3 {
-				s.Halt()
-			}
-		})
-	}
-	s.RunAll()
-	if count != 3 {
-		t.Errorf("count = %d after Halt, want 3", count)
 	}
 }
 
@@ -168,8 +134,8 @@ func TestStepAndCounters(t *testing.T) {
 	if !s.Step() {
 		t.Fatal("Step returned false with events pending")
 	}
-	if s.Fired() != 1 || s.Pending() != 1 {
-		t.Fatalf("Fired=%d Pending=%d, want 1,1", s.Fired(), s.Pending())
+	if s.Now() != 1 || s.LastFired() != 1 || s.Pending() != 1 {
+		t.Fatalf("Now=%v LastFired=%v Pending=%d, want 1,1,1", s.Now(), s.LastFired(), s.Pending())
 	}
 	s.Step()
 	if s.Step() {
@@ -305,19 +271,6 @@ func TestDurationHelpers(t *testing.T) {
 	}
 	if Duration(0.5).Seconds() != 0.5 || Duration(0.5).Milliseconds() != 500 {
 		t.Error("Duration accessors")
-	}
-}
-
-func TestCancelAfterFire(t *testing.T) {
-	s := New()
-	fired := false
-	id := s.Schedule(1, func() { fired = true })
-	s.RunAll()
-	if !fired {
-		t.Fatal("event did not fire")
-	}
-	if s.Cancel(id) {
-		t.Fatal("Cancel returned true for an already-fired event")
 	}
 }
 

@@ -29,9 +29,6 @@ func NewP2Quantile(p float64) *P2Quantile {
 	return s
 }
 
-// Quantile returns the target quantile the estimator tracks.
-func (s *P2Quantile) Quantile() float64 { return s.p }
-
 // Count returns the number of observations added.
 func (s *P2Quantile) Count() int { return s.n }
 
@@ -127,7 +124,7 @@ func (s *P2Quantile) Value() float64 {
 		head := buf[:s.n]
 		copy(head, s.init[:s.n])
 		sort.Float64s(head)
-		return percentileSorted(head, s.p*100)
+		return PercentileSorted(head, s.p*100)
 	}
 	return s.q[2]
 }

@@ -1,6 +1,7 @@
 // Package stats provides the small numerical toolbox WindServe needs:
 // least-squares polynomial regression (used by the Profiler to fit the
-// paper's eqs. 1–2), percentile computation, and summary statistics.
+// paper's eqs. 1–2), percentile computation, and the mean and R² the fits
+// are judged by.
 package stats
 
 import (
@@ -114,7 +115,7 @@ func Percentile(xs []float64, p float64) float64 {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
+	return PercentileSorted(sorted, p)
 }
 
 // PercentilesOf computes several percentiles with a single sort.
@@ -130,12 +131,14 @@ func PercentilesOf(xs []float64, ps ...float64) []float64 {
 	copy(sorted, xs)
 	sort.Float64s(sorted)
 	for i, p := range ps {
-		out[i] = percentileSorted(sorted, p)
+		out[i] = PercentileSorted(sorted, p)
 	}
 	return out
 }
 
-func percentileSorted(sorted []float64, p float64) float64 {
+// PercentileSorted is Percentile on already-sorted, non-empty data, with
+// no copy: the one percentile interpolation every caller shares.
+func PercentileSorted(sorted []float64, p float64) float64 {
 	if p <= 0 {
 		return sorted[0]
 	}
@@ -162,57 +165,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Sum returns the total of xs.
-func Sum(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
-}
-
-// StdDev returns the population standard deviation of xs (NaN if empty).
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// Max returns the maximum of xs (NaN if empty).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum of xs (NaN if empty).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // R2 returns the coefficient of determination of predictions yhat against

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -129,19 +130,8 @@ func TestSummaryStats(t *testing.T) {
 	if m := Mean(xs); !almostEq(m, 5, 1e-9) {
 		t.Errorf("Mean = %v", m)
 	}
-	if s := StdDev(xs); !almostEq(s, 2, 1e-9) {
-		t.Errorf("StdDev = %v, want 2", s)
-	}
-	if Sum(xs) != 40 {
-		t.Errorf("Sum = %v", Sum(xs))
-	}
-	if Max(xs) != 9 || Min(xs) != 2 {
-		t.Errorf("Max/Min = %v/%v", Max(xs), Min(xs))
-	}
-	for _, f := range []func([]float64) float64{Mean, StdDev, Max, Min} {
-		if !math.IsNaN(f(nil)) {
-			t.Error("empty input should yield NaN")
-		}
+	if !math.IsNaN(Mean(nil)) {
+		t.Error("empty input should yield NaN")
 	}
 }
 
@@ -196,7 +186,7 @@ func TestPropertyPercentileMonotone(t *testing.T) {
 		prev := math.Inf(-1)
 		for p := 0.0; p <= 100; p += 5 {
 			v := Percentile(xs, p)
-			if v < prev || v < Min(xs)-1e-9 || v > Max(xs)+1e-9 {
+			if v < prev || v < slices.Min(xs)-1e-9 || v > slices.Max(xs)+1e-9 {
 				return false
 			}
 			prev = v

@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"windserve/internal/sim"
+	"windserve/internal/stats"
 )
 
 // Request is one inference request: a prompt to prefill and a number of
@@ -375,74 +376,15 @@ func (s *genSource) Next() (Request, bool) {
 	return s.g.Next(), true
 }
 
-// genForSource streams requests until one arrives past end; that request
-// is consumed and discarded, exactly as GenerateFor always did, so the
-// generator's state after draining matches the materialized path.
-type genForSource struct {
-	g    *Generator
-	end  sim.Time
-	done bool
-}
-
-func (s *genForSource) Next() (Request, bool) {
-	if s.done {
-		return Request{}, false
-	}
-	r := s.g.Next()
-	if r.Arrival > s.end {
-		s.done = true
-		return Request{}, false
-	}
-	return r, true
-}
-
 // Source returns a stream of the generator's next n requests. Draining it
 // yields the identical sequence Generate(n) materializes for the same
 // generator state.
 func (g *Generator) Source(n int) Source { return &genSource{g: g, remaining: n} }
 
-// SourceFor returns a stream of requests arriving within d of virtual time.
-func (g *Generator) SourceFor(d sim.Duration) Source {
-	return &genForSource{g: g, end: sim.Time(0).Add(d)}
-}
-
-// RateEstimator is implemented by arrival processes that know their
-// long-run mean rate (req/s); generators use it to size preallocations.
-type RateEstimator interface{ MeanRate() float64 }
-
-// MeanRate implements RateEstimator.
-func (p PoissonArrivals) MeanRate() float64 { return p.Rate }
-
-// MeanRate implements RateEstimator.
-func (u UniformArrivals) MeanRate() float64 { return u.Rate }
-
-// MeanRate implements RateEstimator. Bursty gaps are normalized so the
-// long-run mean rate stays Rate regardless of the burst parameters.
-func (b BurstyArrivals) MeanRate() float64 { return b.Rate }
-
 // Generate produces n requests in arrival order.
 func (g *Generator) Generate(n int) []Request {
 	out := make([]Request, 0, n)
 	src := g.Source(n)
-	for {
-		r, ok := src.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, r)
-	}
-}
-
-// GenerateFor produces requests until the trace spans d of virtual time.
-// The expected count (span times the process's mean rate) sizes the slice
-// up front, so long traces don't pay repeated append regrowth.
-func (g *Generator) GenerateFor(d sim.Duration) []Request {
-	hint := 16
-	if re, ok := g.Process.(RateEstimator); ok {
-		hint += int(d.Seconds() * re.MeanRate())
-	}
-	out := make([]Request, 0, hint)
-	src := g.SourceFor(d)
 	for {
 		r, ok := src.Next()
 		if !ok {
@@ -474,6 +416,22 @@ func Concat(a, b []Request, gap sim.Duration) []Request {
 		out[i].ID = uint64(i + 1)
 	}
 	return out
+}
+
+// validate checks the per-request rules every generated stream already
+// satisfies, so a trace from outside cannot panic or silently skew a run.
+func (r Request) validate() error {
+	switch {
+	case r.Arrival < 0:
+		return fmt.Errorf("negative arrival %v", float64(r.Arrival))
+	case r.PromptTokens < 1:
+		return fmt.Errorf("prompt_tokens %d < 1", r.PromptTokens)
+	case r.OutputTokens < 1:
+		return fmt.Errorf("output_tokens %d < 1", r.OutputTokens)
+	case r.PrefixTokens < 0 || r.PrefixTokens > r.PromptTokens:
+		return fmt.Errorf("prefix_tokens %d outside [0, prompt_tokens %d]", r.PrefixTokens, r.PromptTokens)
+	}
+	return nil
 }
 
 // SaveTrace writes requests as a JSON array.
@@ -530,6 +488,10 @@ func (t *TraceReader) Next() (Request, bool) {
 	var r Request
 	if err := t.dec.Decode(&r); err != nil {
 		t.fail(err)
+		return Request{}, false
+	}
+	if err := r.validate(); err != nil {
+		t.err = fmt.Errorf("workload: trace request at index %d: %w", t.idx, err)
 		return Request{}, false
 	}
 	if t.idx > 0 && r.Arrival < t.last {
@@ -590,31 +552,15 @@ func Summarize(reqs []Request) TraceStats {
 	}
 	sort.Float64s(prompts)
 	sort.Float64s(outputs)
-	mean := func(xs []float64) float64 {
-		s := 0.0
-		for _, x := range xs {
-			s += x
-		}
-		return s / float64(len(xs))
-	}
-	pct := func(xs []float64, p float64) float64 {
-		idx := p / 100 * float64(len(xs)-1)
-		lo := int(idx)
-		if lo >= len(xs)-1 {
-			return xs[len(xs)-1]
-		}
-		frac := idx - float64(lo)
-		return xs[lo]*(1-frac) + xs[lo+1]*frac
-	}
 	dur := float64(reqs[len(reqs)-1].Arrival - reqs[0].Arrival)
 	st := TraceStats{
 		Count:        len(reqs),
-		PromptAvg:    mean(prompts),
-		PromptMedian: pct(prompts, 50),
-		PromptP90:    pct(prompts, 90),
-		OutputAvg:    mean(outputs),
-		OutputMedian: pct(outputs, 50),
-		OutputP90:    pct(outputs, 90),
+		PromptAvg:    stats.Mean(prompts),
+		PromptMedian: stats.PercentileSorted(prompts, 50),
+		PromptP90:    stats.PercentileSorted(prompts, 90),
+		OutputAvg:    stats.Mean(outputs),
+		OutputMedian: stats.PercentileSorted(outputs, 50),
+		OutputP90:    stats.PercentileSorted(outputs, 90),
 		DurationSec:  dur,
 	}
 	if dur > 0 {

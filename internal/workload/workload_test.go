@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -181,47 +182,100 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 }
 
-func TestGenerateFor(t *testing.T) {
-	g := NewGenerator(Fixed(10, 5, 100), UniformArrivals{Rate: 2}, 1)
-	reqs := g.GenerateFor(sim.Seconds(10))
-	if len(reqs) < 18 || len(reqs) > 21 {
-		t.Errorf("got %d requests in 10s at 2/s, want ~20", len(reqs))
+// TestTraceSaveLoadRoundTrip: SaveTrace→LoadTrace returns every dataset
+// and every library scenario unchanged, so the reader's validation never
+// rejects a stream the generators produce.
+func TestTraceSaveLoadRoundTrip(t *testing.T) {
+	traces := map[string][]Request{
+		"sharegpt":  NewGenerator(ShareGPT(), PoissonArrivals{Rate: 4}, 5).Generate(200),
+		"longbench": NewGenerator(LongBench(), PoissonArrivals{Rate: 1}, 5).Generate(200),
 	}
-	for _, r := range reqs {
-		if r.Arrival > 10 {
-			t.Fatalf("request at %v beyond horizon", r.Arrival)
+	for _, sc := range Scenarios() {
+		var reqs []Request
+		for src := sc.Source(300, 4, 5); ; {
+			r, ok := src.Next()
+			if !ok {
+				break
+			}
+			reqs = append(reqs, r)
+		}
+		traces[sc.Name] = reqs
+	}
+	for name, reqs := range traces {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := SaveTrace(&buf, reqs); err != nil {
+				t.Fatal(err)
+			}
+			got, err := LoadTrace(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(reqs) {
+				t.Fatalf("round trip kept %d of %d requests", len(got), len(reqs))
+			}
+			for i := range got {
+				if got[i] != reqs[i] {
+					t.Fatalf("request %d: %+v != %+v", i, got[i], reqs[i])
+				}
+			}
+		})
+	}
+}
+
+// TestTraceReaderRejectsBadRequests: each per-request rule fails with an
+// error naming the offending request's index.
+func TestTraceReaderRejectsBadRequests(t *testing.T) {
+	ok := `{"id":1,"arrival":0.5,"prompt_tokens":10,"output_tokens":2},`
+	for bad, want := range map[string]string{
+		`{"id":2,"arrival":-3,"prompt_tokens":5,"output_tokens":2}`:                   "negative arrival",
+		`{"id":2,"arrival":1,"prompt_tokens":-5,"output_tokens":2}`:                   "prompt_tokens -5",
+		`{"id":2,"arrival":1,"prompt_tokens":0,"output_tokens":2}`:                    "prompt_tokens 0",
+		`{"id":2,"arrival":1,"prompt_tokens":5,"output_tokens":0}`:                    "output_tokens 0",
+		`{"id":2,"arrival":1,"prompt_tokens":5,"output_tokens":1,"prefix_tokens":6}`:  "prefix_tokens 6",
+		`{"id":2,"arrival":1,"prompt_tokens":5,"output_tokens":1,"prefix_tokens":-1}`: "prefix_tokens -1",
+	} {
+		_, err := LoadTrace(strings.NewReader("[" + ok + bad + "]"))
+		if err == nil || !strings.Contains(err.Error(), "index 1") || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %q at index 1", bad, err, want)
 		}
 	}
 }
 
-func TestTraceSaveLoadRoundTrip(t *testing.T) {
-	reqs := NewGenerator(ShareGPT(), PoissonArrivals{Rate: 4}, 5).Generate(50)
-	var buf bytes.Buffer
-	if err := SaveTrace(&buf, reqs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(reqs) {
-		t.Fatalf("round trip lost requests: %d vs %d", len(got), len(reqs))
-	}
-	for i := range got {
-		if got[i] != reqs[i] {
-			t.Fatalf("round trip mismatch at %d", i)
+// FuzzTraceReader: the reader never panics, and every request it yields
+// satisfies the per-request rules and arrives in order.
+func FuzzTraceReader(f *testing.F) {
+	f.Add(`[{"id":1,"arrival":0.5,"prompt_tokens":10,"output_tokens":2},{"id":2,"arrival":1.5,"prompt_tokens":20,"output_tokens":3,"session_id":4,"prefix_group":9,"prefix_tokens":12}]`)
+	f.Add(`[{"id":1,"arrival":-3,"prompt_tokens":5,"output_tokens":2}]`)
+	f.Add(`[{"id":1,"arrival":0.5,"prompt_tokens":-5,"output_tokens":2}]`)
+	f.Fuzz(func(t *testing.T, trace string) {
+		tr := NewTraceReader(strings.NewReader(trace))
+		var last sim.Time
+		for i := 0; ; i++ {
+			r, ok := tr.Next()
+			if !ok {
+				break
+			}
+			if r.Arrival < 0 || r.PromptTokens < 1 || r.OutputTokens < 1 ||
+				r.PrefixTokens < 0 || r.PrefixTokens > r.PromptTokens || (i > 0 && r.Arrival < last) {
+				t.Fatalf("reader yielded invalid request %d: %+v", i, r)
+			}
+			last = r.Arrival
 		}
-	}
+	})
 }
 
 func TestLoadTraceRejectsUnsorted(t *testing.T) {
-	bad := []Request{{ID: 1, Arrival: 5}, {ID: 2, Arrival: 1}}
+	bad := []Request{
+		{ID: 1, Arrival: 5, PromptTokens: 8, OutputTokens: 2},
+		{ID: 2, Arrival: 1, PromptTokens: 8, OutputTokens: 2},
+	}
 	var buf bytes.Buffer
 	if err := SaveTrace(&buf, bad); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadTrace(&buf); err == nil {
-		t.Fatal("unsorted trace accepted")
+	if _, err := LoadTrace(&buf); err == nil || !strings.Contains(err.Error(), "not sorted") {
+		t.Fatalf("unsorted trace: err = %v, want a not-sorted error", err)
 	}
 	if _, err := LoadTrace(bytes.NewBufferString("{not json")); err == nil {
 		t.Fatal("garbage accepted")

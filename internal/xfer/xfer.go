@@ -41,9 +41,6 @@ func NewLink(s *sim.Simulator, name string, spec gpu.LinkSpec, efficiency float6
 	return &Link{res: sim.NewFIFOResource(s, name), spec: spec, eff: efficiency}
 }
 
-// Spec returns the underlying hardware path.
-func (l *Link) Spec() gpu.LinkSpec { return l.spec }
-
 // Name returns the link's trace/debug name.
 func (l *Link) Name() string { return l.res.Name() }
 

@@ -83,13 +83,6 @@ func TestInvalidInputsPanic(t *testing.T) {
 	l.TransferTime(-1)
 }
 
-func TestSpecAccessor(t *testing.T) {
-	l := NewLink(sim.New(), "link", gpu.NVLinkBridge, 0.9)
-	if l.Spec().Kind != gpu.LinkNVLink {
-		t.Error("Spec lost")
-	}
-}
-
 // Property: transfer time scales linearly with size above the latency
 // floor, and queued transfers never complete out of order.
 func TestPropertyLinearAndOrdered(t *testing.T) {
