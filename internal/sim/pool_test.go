@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TestPoolReusesEvents checks the free list actually eliminates steady-
 // state allocation: schedule/fire cycles after warm-up allocate nothing.
@@ -40,6 +43,35 @@ func BenchmarkSimulatorScheduleFireDeep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Schedule(2048, fn)
+		s.Step()
+	}
+}
+
+// benchDelays returns a fixed table of pseudo-random delays so the
+// benchmark loop pays no rng cost.
+func benchDelays(n int, scale float64) []Time {
+	rng := rand.New(rand.NewSource(11))
+	out := make([]Time, n)
+	for i := range out {
+		out[i] = Time(rng.Float64() * scale)
+	}
+	return out
+}
+
+// BenchmarkServeSteady is the whole-kernel steady state the CI
+// alloc-budget job gates on: a simulator holding 10k pending events doing
+// schedule+fire cycles must run allocation-free.
+func BenchmarkServeSteady(b *testing.B) {
+	s := New()
+	fn := func() {}
+	delays := benchDelays(4096, 20)
+	for i := 0; i < 10000; i++ {
+		s.Schedule(Duration(delays[i&4095]), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Schedule(20, fn)
 		s.Step()
 	}
 }

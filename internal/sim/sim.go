@@ -10,7 +10,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Time is a point in virtual time, in seconds since simulation start.
@@ -51,12 +50,9 @@ func (d Duration) String() string { return fmt.Sprintf("%.3fms", float64(d)*1e3)
 // Schedule. No handle to an event escapes the kernel, so a recycled
 // struct can never be reached through a stale reference.
 type event struct {
-	at     Time
-	seq    uint64 // tie-breaker: FIFO among same-time events
-	fn     func()
-	epoch  int64 // absolute calendar-bucket number at insertion width
-	bucket int   // owning bucket, fixed by epoch & mask
-	index  int   // position within the bucket
+	at  Time
+	seq uint64 // tie-breaker: FIFO among same-time events
+	fn  func()
 }
 
 // before reports whether e fires ahead of other in the kernel's total
@@ -68,218 +64,75 @@ func (e *event) before(other *event) bool {
 	return e.seq < other.seq
 }
 
-// calendarQueue is the pending-event set, organized as a calendar (bucket)
-// queue (Brown, CACM 1988): virtual time is cut into windows of `width`
-// seconds, window k maps to bucket k mod nbuckets, and a cursor sweeps
-// windows in order. With the bucket count resized to track the event
-// population, Schedule and pop are both O(1) amortized — against
-// the binary heap's O(log n) — which is what makes million-request
-// horizons with tens of thousands of pending events affordable.
-//
-// Ordering is exact, not approximate: an event's window is its integer
-// epoch floor(at/width), the in-window test compares epochs (never
-// accumulated float boundaries), and within a window the minimum is chosen
-// by (at, seq) — so firing order, including FIFO among equal timestamps,
-// is identical to the heap's total order.
-type calendarQueue struct {
-	buckets [][]*event
-	mask    int // len(buckets)-1; len is a power of two
-	n       int
-	width   Time
-	// curEpoch is the window the sweep cursor is on. Invariant: no pending
-	// event has epoch < curEpoch.
-	curEpoch int64
-	// sample is resize's scratch for width estimation.
-	sample []float64
-}
+// eventHeap is the pending-event set: a 4-ary min-heap on (at, seq). The
+// order is total, so any correct priority queue fires events in the same
+// order. Four children per node halve a binary heap's depth, and the set
+// stays small: tens of events on a testbed, a few thousand on a fleet.
+type eventHeap []*event
 
-const (
-	minBuckets = 16
-	// maxEpoch is the clamped window for events so far in the future that
-	// floor(at/width) overflows — e.g. horizon guards near Forever. They
-	// are only ever reached through the direct-search fallback, which
-	// compares (at, seq) exactly, so sharing one clamped window is safe.
-	maxEpoch = int64(1) << 62
-)
-
-func newCalendarQueue() *calendarQueue {
-	return &calendarQueue{
-		buckets: make([][]*event, minBuckets),
-		mask:    minBuckets - 1,
-		width:   1,
-	}
-}
-
-// epochOf maps a timestamp to its window at the current width.
-func (q *calendarQueue) epochOf(at Time) int64 {
-	e := math.Floor(float64(at) / float64(q.width))
-	if !(e < float64(maxEpoch)) { // also catches +Inf/NaN from extreme at
-		return maxEpoch
-	}
-	if e < 0 {
-		return 0
-	}
-	return int64(e)
-}
-
-// push inserts an event, rewinding the cursor if it lands before it.
-func (q *calendarQueue) push(ev *event) {
-	q.place(ev)
-	q.n++
-	if q.n == 1 || ev.epoch < q.curEpoch {
-		q.curEpoch = ev.epoch
-	}
-	if q.n > 2*len(q.buckets) {
-		q.resize(2 * len(q.buckets))
-	}
-}
-
-// place computes the event's window at the current width and appends it to
-// its bucket.
-func (q *calendarQueue) place(ev *event) {
-	ev.epoch = q.epochOf(ev.at)
-	b := int(ev.epoch) & q.mask
-	ev.bucket = b
-	ev.index = len(q.buckets[b])
-	q.buckets[b] = append(q.buckets[b], ev)
-}
-
-// remove unlinks a pending event from its bucket in O(1) by swapping the
-// bucket's last event into its slot.
-func (q *calendarQueue) remove(ev *event) {
-	b := q.buckets[ev.bucket]
-	last := len(b) - 1
-	if ev.index != last {
-		moved := b[last]
-		b[ev.index] = moved
-		moved.index = ev.index
-	}
-	b[last] = nil
-	q.buckets[ev.bucket] = b[:last]
-	q.n--
-	if q.n < len(q.buckets)/2 && len(q.buckets) > minBuckets {
-		q.resize(len(q.buckets) / 2)
-	}
-}
-
-// peek returns the next event in (at, seq) order without removing it. The
-// cursor advances past empty windows as a side effect; if a whole year
-// (every bucket once) is swept without a hit, the pending set is sparse
-// relative to the cursor and a direct minimum search jumps the cursor to
-// wherever the events actually are.
-func (q *calendarQueue) peek() *event {
-	if q.n == 0 {
+// peek returns the next event in (at, seq) order without removing it.
+func (h eventHeap) peek() *event {
+	if len(h) == 0 {
 		return nil
 	}
-	for i := 0; i <= q.mask; i++ {
-		var best *event
-		for _, ev := range q.buckets[int(q.curEpoch)&q.mask] {
-			if ev.epoch == q.curEpoch && (best == nil || ev.before(best)) {
-				best = ev
-			}
-		}
-		if best != nil {
-			return best
-		}
-		q.curEpoch++
-	}
-	var best *event
-	for _, bkt := range q.buckets {
-		for _, ev := range bkt {
-			if best == nil || ev.before(best) {
-				best = ev
-			}
-		}
-	}
-	q.curEpoch = best.epoch
-	return best
+	return h[0]
 }
 
-// pop removes and returns the next event in (at, seq) order.
-func (q *calendarQueue) pop() *event {
-	ev := q.peek()
-	if ev != nil {
-		q.remove(ev)
-	}
-	return ev
-}
-
-// resize rebuilds the calendar with nb buckets and a width re-estimated
-// from the current population's spacing, keeping amortized bucket
-// occupancy O(1) as the pending count grows and shrinks.
-func (q *calendarQueue) resize(nb int) {
-	if nb < minBuckets {
-		nb = minBuckets
-	}
-	if w := q.sampleWidth(); w > 0 {
-		q.width = w
-	}
-	old := q.buckets
-	q.buckets = make([][]*event, nb)
-	q.mask = nb - 1
-	var min *event
-	for _, bkt := range old {
-		for _, ev := range bkt {
-			q.place(ev)
-			if min == nil || ev.before(min) {
-				min = ev
-			}
+// push inserts an event, sifting it up past every later parent.
+func (h *eventHeap) push(ev *event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !ev.before(q[p]) {
+			break
 		}
+		q[i] = q[p]
+		i = p
 	}
-	if min != nil {
-		q.curEpoch = min.epoch
-	}
+	q[i] = ev
+	*h = q
 }
 
-// sampleWidth estimates a bucket width from the median positive gap
-// between a deterministic sample of pending-event timestamps. The median
-// keeps one far-future outlier (a horizon guard) from stretching every
-// bucket; dividing by the sampling stride converts the sample's spacing
-// back to the population's adjacent-event spacing, so occupancy stays
-// around one event per swept window. Returns 0 when no estimate is
-// possible (fewer than two distinct timestamps), in which case the caller
-// keeps the current width.
-func (q *calendarQueue) sampleWidth() Time {
-	const sampleCap = 64
-	stride := 1
-	if q.n > sampleCap {
-		stride = q.n / sampleCap
+// pop removes and returns the next event in (at, seq) order: the last
+// leaf replaces the root and sifts down past every earlier child.
+func (h *eventHeap) pop() *event {
+	q := *h
+	n := len(q) - 1
+	if n < 0 {
+		return nil
 	}
-	ts := q.sample[:0]
+	top, last := q[0], q[n]
+	q[n], *h = nil, q[:n] // the sift below reads q[:n] only
 	i := 0
-	for _, bkt := range q.buckets {
-		for _, ev := range bkt {
-			if i%stride == 0 {
-				ts = append(ts, float64(ev.at))
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if q[j].before(q[m]) {
+				m = j
 			}
-			i++
 		}
-	}
-	q.sample = ts
-	sort.Float64s(ts)
-	gaps := 0
-	for i := 1; i < len(ts); i++ {
-		if g := ts[i] - ts[i-1]; g > 0 {
-			ts[gaps] = g // reuse the prefix for the positive gaps
-			gaps++
+		if !q[m].before(last) {
+			break
 		}
+		q[i] = q[m]
+		i = m
 	}
-	if gaps == 0 {
-		return 0
+	if n > 0 {
+		q[i] = last
 	}
-	sort.Float64s(ts[:gaps])
-	w := 4 * ts[gaps/2] / float64(stride)
-	if w <= 0 || math.IsInf(w, 0) || math.IsNaN(w) {
-		return 0
-	}
-	return Time(w)
+	return top
 }
 
 // Simulator is a single-threaded discrete-event scheduler.
 // The zero value is not usable; call New.
 type Simulator struct {
 	now       Time
-	q         *calendarQueue
+	q         eventHeap
 	seq       uint64
 	lastFired Time
 	// free recycles fired event structs. Bounded by the peak
@@ -289,15 +142,13 @@ type Simulator struct {
 }
 
 // New returns an empty simulator at time 0.
-func New() *Simulator {
-	return &Simulator{q: newCalendarQueue()}
-}
+func New() *Simulator { return &Simulator{} }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
 // Pending returns the number of scheduled-but-unfired events.
-func (s *Simulator) Pending() int { return s.q.n }
+func (s *Simulator) Pending() int { return len(s.q) }
 
 // Schedule runs fn after delay d (>= 0). Scheduling in the past panics,
 // since it indicates a cost-model bug rather than a recoverable condition.

@@ -74,35 +74,6 @@ func TestRunUntilHorizon(t *testing.T) {
 	}
 }
 
-// TestCancelMiddleOfHeap removes events from the middle of their buckets
-// (the swap-with-last unlink pop relies on) and checks the survivors
-// still leave the queue in (at, seq) order.
-func TestCancelMiddleOfHeap(t *testing.T) {
-	q := newCalendarQueue()
-	var evs []*event
-	for i := 0; i < 20; i++ {
-		ev := &event{at: Time(i), seq: uint64(i)}
-		q.push(ev)
-		evs = append(evs, ev)
-	}
-	// Remove all odd events.
-	for i := 1; i < 20; i += 2 {
-		q.remove(evs[i])
-	}
-	var got []Time
-	for ev := q.pop(); ev != nil; ev = q.pop() {
-		got = append(got, ev.at)
-	}
-	if len(got) != 10 {
-		t.Fatalf("got %d events, want 10: %v", len(got), got)
-	}
-	for i, at := range got {
-		if at != Time(2*i) {
-			t.Fatalf("event %d fired at %v, want %v: %v", i, at, Time(2*i), got)
-		}
-	}
-}
-
 func TestNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -51,7 +51,7 @@ if [[ $smoke -eq 1 ]]; then
 fi
 
 echo "== micro-benchmarks (sim, metrics, perf, stats, engine) ==" >&2
-go test -run '^$' -bench 'SimulatorScheduleFire|Summarize|OpenIDs|IterTime|EventQueue|ServeSteady|P2Add|PercentilesOf|EnginePass' \
+go test -run '^$' -bench 'SimulatorScheduleFire|Summarize|OpenIDs|IterTime|ServeSteady|P2Add|PercentilesOf|EnginePass' \
     -benchmem -benchtime "$benchtime" ./internal/sim ./internal/metrics ./internal/perf ./internal/stats ./internal/engine | tee "$micro_txt" >&2
 
 if [[ $smoke -eq 1 ]]; then
@@ -179,9 +179,6 @@ def parse_scale(path):
     return rows
 
 micro = parse(os.environ["MICRO"])
-ns = {r["name"]: r["ns_per_op"] for r in micro}
-heap_ns = ns.get("BenchmarkEventQueueHeap10k")
-cal_ns = ns.get("BenchmarkEventQueueCalendar10k")
 
 serial = float(os.environ["SERIAL"])
 parallel = float(os.environ["PARALLEL"])
@@ -211,14 +208,6 @@ doc = {
     "host_cores": int(os.environ["HOST_CORES"]),
     "gomaxprocs": gomaxprocs,
     "micro": micro,
-    "event_queue_10k": {
-        "heap_ns_per_op": heap_ns,
-        "calendar_ns_per_op": cal_ns,
-        "speedup": round(heap_ns / cal_ns, 2) if heap_ns and cal_ns else None,
-        "note": "hold model with 10k pending events; the calendar queue's "
-                "O(1) expected schedule/fire replaces the binary heap's "
-                "O(log n) sift",
-    },
     "ext_mega": {
         "args": "ext-mega (1,000,000 requests, streaming source + recorder)",
         "rows": parse_mega(os.environ["MEGA"]),
