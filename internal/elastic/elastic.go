@@ -85,21 +85,6 @@ func (p Policy) Validate() error {
 	return nil
 }
 
-// Signals is one replica's load snapshot, as reported over the fleet
-// wire: raw integers only, so the message stays comparable and
-// delta-suppressible.
-type Signals struct {
-	// QueuedPrefillTokens is the prompt-token backlog across the
-	// replica's acting-prefill instances.
-	QueuedPrefillTokens int
-	// Running and SumCtx describe the acting-decode batches: stream
-	// count and total resident context.
-	Running int
-	SumCtx  int
-	// ActPrefill and ActDecode are the current acting-role counts.
-	ActPrefill, ActDecode int
-}
-
 // Direction is a flip decision.
 type Direction int
 

@@ -20,6 +20,7 @@ package fault
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -464,6 +465,25 @@ type Hooks struct {
 	SetReplicaSlowdown func(idx int, factor float64)
 	// SetPartition cuts (true) or heals (false) the router→replica path.
 	SetPartition func(idx int, partitioned bool)
+}
+
+// CancelVictims picks the requests one cancel event aborts: round(frac·n)
+// of the n open ids, drawn by a PRNG seeded from the event and returned in
+// ids order. Every system cancels through it, so a plan cancels the same
+// requests on every system and every run.
+func CancelVictims(ids []uint64, frac float64, seed int64) []uint64 {
+	n := len(ids)
+	k := min(int(math.Round(frac*float64(n))), n)
+	if k <= 0 {
+		return nil
+	}
+	picks := rand.New(rand.NewSource(seed)).Perm(n)[:k]
+	sort.Ints(picks)
+	victims := make([]uint64, k)
+	for i, p := range picks {
+		victims[i] = ids[p]
+	}
+	return victims
 }
 
 // Apply schedules the plan's events on the simulator. It must be called

@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -341,4 +342,38 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("Parse(%q) accepted a plan Validate rejects: %v", spec, err)
 		}
 	})
+}
+
+// TestCancelVictims pins the one victim rule every system uses:
+// round(frac·n) distinct ids, returned in ids order, the same for the
+// same seed, none for an empty set or a fraction that rounds to zero.
+func TestCancelVictims(t *testing.T) {
+	ids := make([]uint64, 40)
+	for i := range ids {
+		ids[i] = uint64(100 + 3*i)
+	}
+	v := CancelVictims(ids, 0.2, 7)
+	if len(v) != 8 {
+		t.Fatalf("%d victims of 40 at 0.2, want 8", len(v))
+	}
+	pos := -1
+	for _, id := range v {
+		next := slices.Index(ids, id)
+		if next <= pos {
+			t.Fatalf("victims %v are not distinct members of ids in ids order", v)
+		}
+		pos = next
+	}
+	if again := CancelVictims(ids, 0.2, 7); !slices.Equal(again, v) {
+		t.Fatalf("same seed drew %v then %v", v, again)
+	}
+	if all := CancelVictims(ids, 1, 7); !slices.Equal(all, ids) {
+		t.Fatalf("fraction 1 drew %v", all)
+	}
+	if v := CancelVictims(ids, 0.01, 7); v != nil {
+		t.Fatalf("fraction rounding to zero drew %v", v)
+	}
+	if v := CancelVictims(nil, 1, 7); v != nil {
+		t.Fatalf("empty set drew %v", v)
+	}
 }

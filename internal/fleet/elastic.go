@@ -43,7 +43,7 @@ type roleController struct {
 }
 
 func newRoleController(f *fleet) (*roleController, error) {
-	pcm, dcm := f.acts[0].rp.CostModels()
+	pcm, dcm, mdb := f.acts[0].rp.Shape()
 	profP, err := sched.Profile(pcm, nil)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: profiling prefill shape: %w", err)
@@ -51,10 +51,6 @@ func newRoleController(f *fleet) (*roleController, error) {
 	profD, err := sched.Profile(dcm, nil)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: profiling decode shape: %w", err)
-	}
-	mdb := f.cfg.Replica.MaxDecodeBatch
-	if mdb <= 0 {
-		mdb = 256 // serve's fillDefaults value
 	}
 	rc := &roleController{
 		f: f, pol: f.cfg.Elastic,

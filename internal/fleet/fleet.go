@@ -23,7 +23,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"windserve/internal/elastic"
@@ -245,6 +244,26 @@ func (c *Config) validate() error {
 	}
 	if c.Replica.NamePrefix != "" {
 		return fmt.Errorf("fleet: Replica.NamePrefix is assigned per replica; leave it empty")
+	}
+	// NaN slips past every sign check below (and a NaN timer panics the
+	// simulator mid-run); ±Inf past most of them.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"FailoverTimeout", float64(c.FailoverTimeout)},
+		{"TTFTDeadline", float64(c.TTFTDeadline)},
+		{"NetDelay", float64(c.NetDelay)},
+		{"LoadReportEvery", float64(c.LoadReportEvery)},
+		{"BrownoutSlack", c.BrownoutSlack},
+		{"Horizon", float64(c.Horizon)},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("fleet: %s %v is not finite", f.name, f.v)
+		}
+	}
+	if c.BrownoutDepth < 0 {
+		return fmt.Errorf("fleet: BrownoutDepth %d is negative", c.BrownoutDepth)
 	}
 	if c.BrownoutSlack < 0 || c.MaxFailovers < 0 || c.MaxQueueDepth < 0 {
 		return fmt.Errorf("fleet: negative policy knob")
@@ -676,22 +695,11 @@ func (f *fleet) drainParked() {
 	}
 }
 
-// cancelFrac aborts a seeded-random fraction of open requests — the
-// client-cancellation fault, fleet edition (same victim rule as serve).
+// cancelFrac is the client-cancellation fault, fleet edition: the same
+// victim rule as serve, fault.CancelVictims over the open ids.
 func (f *fleet) cancelFrac(frac float64, seed int64) {
-	ids := f.rec.OpenIDs()
-	n := len(ids)
-	k := int(math.Round(frac * float64(n)))
-	if k <= 0 {
-		return
-	}
-	if k > n {
-		k = n
-	}
-	picks := rand.New(rand.NewSource(seed)).Perm(n)[:k]
-	sort.Ints(picks)
-	for _, i := range picks {
-		f.abort(ids[i], "client-cancel")
+	for _, id := range fault.CancelVictims(f.rec.OpenIDs(), frac, seed) {
+		f.abort(id, "client-cancel")
 	}
 }
 
@@ -861,7 +869,7 @@ func (f *fleet) finish() *Result {
 		res.Summary = metrics.Summarize(f.rec.Completed(), f.cfg.Replica.SLO)
 	}
 	for _, ra := range f.acts {
-		st := ra.rp.Stats(res.Elapsed)
+		st := ra.rp.Result(res.Elapsed)
 		res.LiveKVBlocks += st.LiveKVBlocks
 		res.TransferGB += st.TransferGB
 		res.PrefillKV.Accumulate(st.PrefillKV)

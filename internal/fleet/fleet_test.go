@@ -3,6 +3,8 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"windserve/internal/fault"
@@ -198,6 +200,38 @@ func TestFleetValidation(t *testing.T) {
 		if _, err := RunFrom(cfg, workload.NewSliceSource(trace(5, 5, 1))); err == nil {
 			t.Errorf("%s: RunFrom accepted invalid config", name)
 		}
+	}
+}
+
+// TestFleetValidationRejectsNonFinite requires NaN and ±Inf in every
+// float knob, and a negative BrownoutDepth, to fail validation with an
+// error naming the field: a NaN FailoverTimeout would otherwise panic
+// the simulator mid-run.
+func TestFleetValidationRejectsNonFinite(t *testing.T) {
+	cases := []struct {
+		field string
+		set   func(*Config, float64)
+	}{
+		{"FailoverTimeout", func(c *Config, v float64) { c.FailoverTimeout = sim.Duration(v) }},
+		{"TTFTDeadline", func(c *Config, v float64) { c.TTFTDeadline = sim.Duration(v) }},
+		{"NetDelay", func(c *Config, v float64) { c.NetDelay = sim.Duration(v) }},
+		{"LoadReportEvery", func(c *Config, v float64) { c.LoadReportEvery = sim.Duration(v) }},
+		{"BrownoutSlack", func(c *Config, v float64) { c.BrownoutSlack = v }},
+		{"Horizon", func(c *Config, v float64) { c.Horizon = sim.Duration(v) }},
+	}
+	for _, tc := range cases {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := testConfig(t, 2)
+			tc.set(&cfg, v)
+			if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s = %v: validate() = %v, want an error naming the field", tc.field, v, err)
+			}
+		}
+	}
+	cfg := testConfig(t, 2)
+	cfg.BrownoutDepth = -1
+	if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), "BrownoutDepth") {
+		t.Errorf("BrownoutDepth -1: validate() = %v, want an error naming the field", err)
 	}
 }
 

@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"math"
-	"math/rand"
-	"sort"
-
 	"windserve/internal/engine"
+	"windserve/internal/fault"
 	"windserve/internal/metrics"
 	"windserve/internal/sim"
 	"windserve/internal/workload"
@@ -181,24 +178,11 @@ func (r *runner) abortReq(id uint64) {
 	}
 }
 
-// cancelFrac aborts a seeded-random fraction of the currently in-flight
-// requests — the client-cancellation fault. The victim sample is drawn
-// from the sorted open-id list with a dedicated PRNG so the same plan
-// cancels the same requests on every system and every run.
+// cancelFrac is the client-cancellation fault: it aborts the in-flight
+// requests fault.CancelVictims draws from the sorted open ids.
 func (r *runner) cancelFrac(frac float64, seed int64) {
-	ids := r.led.OpenIDs()
-	n := len(ids)
-	k := int(math.Round(frac * float64(n)))
-	if k <= 0 {
-		return
-	}
-	if k > n {
-		k = n
-	}
-	picks := rand.New(rand.NewSource(seed)).Perm(n)[:k]
-	sort.Ints(picks)
-	for _, i := range picks {
-		r.abortReq(ids[i])
+	for _, id := range fault.CancelVictims(r.led.OpenIDs(), frac, seed) {
+		r.abortReq(id)
 	}
 }
 

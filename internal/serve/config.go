@@ -17,6 +17,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 
 	"windserve/internal/fault"
 	"windserve/internal/gpu"
@@ -256,6 +257,21 @@ func DefaultWindOptions() WindOptions {
 // except BlockSize, whose zero value has historically caused the
 // confusing kvcache construction failure this guards against.
 func (c *Config) validate() error {
+	// NaN slips past every range check below, and ±Inf past the sign ones.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"ReserveFrac", c.ReserveFrac},
+		{"Wind.ThresholdFrac", c.Wind.ThresholdFrac},
+		{"Wind.KVSafetyFrac", c.Wind.KVSafetyFrac},
+		{"Shed.TTFTDeadline", float64(c.Shed.TTFTDeadline)},
+		{"Horizon", float64(c.Horizon)},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("serve: %s %v is not finite", f.name, f.v)
+		}
+	}
 	if c.NumPrefill < 0 {
 		return fmt.Errorf("serve: NumPrefill %d is negative", c.NumPrefill)
 	}

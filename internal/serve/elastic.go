@@ -37,58 +37,62 @@ type FlipResult struct {
 	Migrating int
 }
 
-// flip converts one instance to the other role and starts its drain.
-// Selection is deterministic: instances already flipped away from their
-// home role are unflipped first (restoring the static layout before
-// bending it further), then the least-loaded home instance of the
-// shrinking role is taken, ties to the lowest index. The flip never
-// drops the acting count of the shrinking role to zero.
+// flip converts one instance to the other role and starts its drain:
+// toDecode turns an acting prefill into a decode, re-routing its
+// untouched prefill queue; otherwise an acting decode turns prefill and
+// migrates its running batch to the remaining acting decodes. Selection
+// is deterministic: instances acting against their home role flip back
+// first (restoring the static layout before bending it further), then
+// the least-loaded candidate of the shrinking role is taken, ties to the
+// earliest in scan order. The flip never drops the live acting count of
+// the shrinking role below one.
 func (d *pd) flip(toDecode bool) FlipResult {
 	if !d.cfg.Elastic {
 		return FlipResult{}
 	}
-	if toDecode {
-		return d.flipToDecode()
-	}
-	return d.flipToPrefill()
-}
-
-// flipToDecode converts an acting prefill into a decode instance.
-func (d *pd) flipToDecode() FlipResult {
 	np := len(d.prefills)
-	pick, acting := -1, 0
-	better := func(a, b int) bool { // prefill-space candidates
-		fa, fb := a >= np, b >= np // flipped-home-decode candidates first
-		if fa != fb {
-			return fa
+	away := func(a int) bool { return d.actsDecode[a] != (a >= np) }
+	load := func(a int) int {
+		if toDecode {
+			return d.ins[a].QueuedPrefillTokens()
 		}
-		ta, tb := d.pIns(a).QueuedPrefillTokens(), d.pIns(b).QueuedPrefillTokens()
-		if ta != tb {
-			return ta < tb
-		}
-		return a < b
+		return d.ins[a].NumRunning()
 	}
-	for i := 0; i < d.pSpace(); i++ {
-		if !d.actingPrefill(i) || d.pIns(i).Down() {
+	better := func(a, b int) bool {
+		if away(a) != away(b) {
+			return away(a)
+		}
+		return load(a) < load(b)
+	}
+	pick, acting := -1, 0
+	for k := range d.ins {
+		a := k // acting prefills are scanned in physical order,
+		if !toDecode {
+			a = d.decodeOrder(k) // acting decodes in decode order
+		}
+		if d.actsDecode[a] == toDecode || d.ins[a].Down() {
 			continue
 		}
 		acting++
-		if pick < 0 || better(i, pick) {
-			pick = i
+		if pick < 0 || better(a, pick) {
+			pick = a
 		}
 	}
 	if pick < 0 || acting <= 1 {
 		return FlipResult{}
 	}
-	ins := d.pIns(pick)
-	if pick < np {
-		d.pFlipped[pick] = true
-	} else {
-		d.dFlipped[pick-np] = false
+	ins := d.ins[pick]
+	d.actsDecode[pick] = toDecode
+	if !toDecode {
+		// Sticky enable: once an instance has prefilled anything, the flag
+		// never turns off again, so a later flip back to decode cannot
+		// strand a mid-chunk prefill.
+		ins.SetAllowPrefill(true)
+		return FlipResult{OK: true, Instance: ins.Name(), Migrating: d.migrateRunning(pick)}
 	}
 	// AllowPrefill stays on (sticky): requests mid-chunk or holding KV
-	// here must finish their prefill; the role masks alone keep new work
-	// away.
+	// here must finish their prefill; the acting role alone keeps new
+	// work away.
 	requeued := 0
 	for _, q := range ins.DrainPrefillQueue() {
 		if q.Phase == engine.PhaseAborted {
@@ -100,54 +104,12 @@ func (d *pd) flipToDecode() FlipResult {
 	return FlipResult{OK: true, Instance: ins.Name(), ToDecode: true, Requeued: requeued}
 }
 
-// flipToPrefill converts an acting decode into a prefill instance and
-// migrates its running batch to the remaining acting decodes.
-func (d *pd) flipToPrefill() FlipResult {
-	nd := len(d.decodes)
-	pick, acting := -1, 0
-	better := func(a, b int) bool { // decode-space candidates
-		fa, fb := a >= nd, b >= nd // flipped-home-prefill candidates first
-		if fa != fb {
-			return fa
-		}
-		ra, rb := d.dIns(a).NumRunning(), d.dIns(b).NumRunning()
-		if ra != rb {
-			return ra < rb
-		}
-		return a < b
-	}
-	for j := 0; j < d.dSpace(); j++ {
-		if !d.actingDecode(j) || d.dIns(j).Down() {
-			continue
-		}
-		acting++
-		if pick < 0 || better(j, pick) {
-			pick = j
-		}
-	}
-	if pick < 0 || acting <= 1 {
-		return FlipResult{}
-	}
-	ins := d.dIns(pick)
-	if pick < nd {
-		d.dFlipped[pick] = true
-		// Sticky enable: once a home decode has prefilled anything, the
-		// flag never turns off again, so a later flip back to decode
-		// cannot strand a mid-chunk prefill.
-		ins.SetAllowPrefill(true)
-	} else {
-		d.pFlipped[pick-nd] = false
-	}
-	migrated := d.migrateRunning(pick)
-	return FlipResult{OK: true, Instance: ins.Name(), Migrating: migrated}
-}
-
 // migrateRunning drains src's running batch: each stream's KV crosses
 // the mesh to the acting decode with the most free KV able to hold it
 // (batch order, deterministic). Streams with no viable destination keep
 // decoding on src until they finish — a graceful drain, never a drop.
 func (d *pd) migrateRunning(src int) int {
-	ins := d.dIns(src)
+	ins := d.ins[src]
 	batch := append([]*engine.Req(nil), ins.Running()...)
 	migrated := 0
 	for _, q := range batch {
@@ -164,7 +126,7 @@ func (d *pd) migrateRunning(src int) int {
 		d.migrating[q.W.ID] = &flipMigration{q: q, src: src, dst: dst}
 		bytes := d.kvBytes(q.Ctx())
 		start := d.r.s.Now()
-		lk := d.ddLink(src, dst)
+		lk := d.link[src][dst]
 		qq, dt := q, dst
 		lk.Transfer(bytes, func() { d.finishMigration(qq, src, dt, start, lk) })
 		migrated++
@@ -174,26 +136,23 @@ func (d *pd) migrateRunning(src int) int {
 }
 
 // pickMigrationDst chooses the migration destination for one stream:
-// acting decodes other than src, most free KV first (ties to the lowest
-// index), first one whose manager accepts the allocation.
+// acting decodes other than src, most free KV first (ties keep decode
+// order), first one whose manager accepts the allocation.
 func (d *pd) pickMigrationDst(src int, q *engine.Req) int {
 	var cands []int
-	for j := 0; j < d.dSpace(); j++ {
-		if j == src || !d.actingDecode(j) || d.dIns(j).Down() {
+	for k := range d.ins {
+		a := d.decodeOrder(k)
+		if a == src || !d.actsDecode[a] || d.ins[a].Down() {
 			continue
 		}
-		cands = append(cands, j)
+		cands = append(cands, a)
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		fa, fb := d.dIns(cands[a]).FreeKVTokens(), d.dIns(cands[b]).FreeKVTokens()
-		if fa != fb {
-			return fa > fb
-		}
-		return cands[a] < cands[b]
+	sort.SliceStable(cands, func(x, y int) bool {
+		return d.ins[cands[x]].FreeKVTokens() > d.ins[cands[y]].FreeKVTokens()
 	})
-	for _, j := range cands {
-		if d.dIns(j).KV().Allocate(q.KVID(), q.Ctx()+1) == nil {
-			return j
+	for _, a := range cands {
+		if d.ins[a].KV().Allocate(q.KVID(), q.Ctx()+1) == nil {
+			return a
 		}
 	}
 	return -1
@@ -214,7 +173,7 @@ func (d *pd) finishMigration(q *engine.Req, src, dst int, start sim.Time, lk *xf
 		d.cfg.Tracer.Add("link "+lk.Name(), trace.KindKVTransfer, start, d.r.s.Now(),
 			fmt.Sprintf("req%d migrate %d tokens", q.W.ID, q.Ctx()))
 	}
-	srcIns, dstIns := d.dIns(src), d.dIns(dst)
+	srcIns, dstIns := d.ins[src], d.ins[dst]
 	if q.Phase == engine.PhaseAborted {
 		d.releaseAt(srcIns, q)
 		d.releaseAt(dstIns, q)
@@ -252,20 +211,15 @@ func (d *pd) finishMigration(q *engine.Req, src, dst int, start sim.Time, lk *xf
 // acting decodes, and the acting role counts. Plain integers so the
 // fleet wire can delta-suppress reports.
 func (d *pd) loadSignals() (qTokens, running, sumCtx, actP, actD int) {
-	for i := 0; i < d.pSpace(); i++ {
-		if !d.actingPrefill(i) {
-			continue
-		}
-		actP++
-		qTokens += d.pIns(i).QueuedPrefillTokens()
-	}
-	for j := 0; j < d.dSpace(); j++ {
-		if !d.actingDecode(j) {
+	for a, ins := range d.ins {
+		if !d.actsDecode[a] {
+			actP++
+			qTokens += ins.QueuedPrefillTokens()
 			continue
 		}
 		actD++
-		running += d.dIns(j).NumRunning()
-		for _, q := range d.dIns(j).Running() {
+		running += ins.NumRunning()
+		for _, q := range ins.Running() {
 			sumCtx += q.Ctx()
 		}
 	}

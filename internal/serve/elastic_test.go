@@ -120,12 +120,13 @@ func TestFlipRoundTrip(t *testing.T) {
 		t.Fatalf("unflip-first violated: flip-to-decode took %s but flip-to-prefill took %s",
 			results[0].Instance, results[1].Instance)
 	}
-	for i, m := range d.pFlipped {
-		if m {
+	np := len(d.prefills)
+	for i := range d.prefills {
+		if d.actsDecode[i] {
 			t.Fatalf("prefill %d still flipped after round trip", i)
 		}
 	}
-	if !d.dFlipped[0] && !d.dFlipped[1] {
+	if d.actsDecode[np] && d.actsDecode[np+1] {
 		t.Fatal("no home decode acting as prefill after the final flip")
 	}
 	if res.Unfinished != 0 {
@@ -160,7 +161,8 @@ func TestFlipFloorNeverEmptiesRole(t *testing.T) {
 }
 
 // TestStaticPDRefusesFlip pins the gate: with Elastic off, flip is a
-// structured no-op and the masks stay nil.
+// structured no-op, every instance acts its home role, and only
+// prefill↔decode pairs are linked.
 func TestStaticPDRefusesFlip(t *testing.T) {
 	cfg := cfg13B(t)
 	cfg.NumPrefill = 2
@@ -176,8 +178,17 @@ func TestStaticPDRefusesFlip(t *testing.T) {
 	if fr := d.flip(true); fr.OK {
 		t.Fatalf("static pd accepted a flip: %+v", fr)
 	}
-	if d.pFlipped != nil || d.dFlipped != nil || d.pp != nil || d.dd != nil {
-		t.Fatal("static pd built elastic state")
+	np := len(d.prefills)
+	for a := range d.ins {
+		if d.actsDecode[a] != (a >= np) {
+			t.Fatalf("instance %d does not act its home role", a)
+		}
+		for b := range d.ins {
+			sameRole := (a < np) == (b < np)
+			if (d.link[a][b] != nil) == sameRole {
+				t.Fatalf("link %d→%d: nil=%v, want nil exactly for same-role pairs", a, b, d.link[a][b] == nil)
+			}
+		}
 	}
 }
 

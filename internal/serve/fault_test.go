@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"windserve/internal/engine"
@@ -377,5 +379,30 @@ func TestConfigValidationRejectsBadValues(t *testing.T) {
 	cfg.Wind.ThresholdFrac = 40
 	if _, err := RunWindServeFrom(cfg, workload.NewSliceSource(trace13B(1, 3, 1))); err != nil {
 		t.Errorf("ThresholdFrac 40 rejected: %v", err)
+	}
+}
+
+// TestConfigValidationRejectsNonFinite requires NaN and ±Inf in every
+// float knob to fail validation with an error naming the field: a NaN
+// passes every range check and would silently change the run.
+func TestConfigValidationRejectsNonFinite(t *testing.T) {
+	cases := []struct {
+		field string
+		set   func(*Config, float64)
+	}{
+		{"ReserveFrac", func(c *Config, v float64) { c.ReserveFrac = v }},
+		{"Wind.ThresholdFrac", func(c *Config, v float64) { c.Wind.ThresholdFrac = v }},
+		{"Wind.KVSafetyFrac", func(c *Config, v float64) { c.Wind.KVSafetyFrac = v }},
+		{"Shed.TTFTDeadline", func(c *Config, v float64) { c.Shed.TTFTDeadline = sim.Duration(v) }},
+		{"Horizon", func(c *Config, v float64) { c.Horizon = sim.Duration(v) }},
+	}
+	for _, tc := range cases {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := cfg13B(t)
+			tc.set(&cfg, v)
+			if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s = %v: validate() = %v, want an error naming the field", tc.field, v, err)
+			}
+		}
 	}
 }

@@ -160,3 +160,46 @@ func TestSameTraceAcrossSystems(t *testing.T) {
 		}
 	}
 }
+
+// TestPlacementMapsDrain requires pd's placement maps to hold in-flight
+// requests only: after a drained run both are empty, including the
+// entries of requests that completed on a prefill instance (one-token
+// outputs, streams migrated there, and WindServe's async-transfer
+// decodeAt). Completion at any instance deletes both entries.
+func TestPlacementMapsDrain(t *testing.T) {
+	cfg := cfg13B(t)
+	reqs := trace13B(4.5, 3000, 7)
+	check := func(system string, res *Result, d *pd) {
+		t.Helper()
+		if res.Unfinished != 0 {
+			t.Fatalf("%s: %d unfinished; the run must drain", system, res.Unfinished)
+		}
+		if len(d.prefillAt) != 0 || len(d.decodeAt) != 0 {
+			t.Errorf("%s: %d prefillAt and %d decodeAt entries left after drain",
+				system, len(d.prefillAt), len(d.decodeAt))
+		}
+	}
+
+	w, err := newWindServe(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := w.run(workload.NewSliceSource(reqs))
+	if res.Rescheduled == 0 {
+		t.Fatal("WindServe run migrated nothing; raise the rate to cover migrated streams")
+	}
+	check("WindServe", res, w.d)
+
+	r, err := newRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := newPD(r, r.cfg, pdHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.queueDepth = d.queueDepth
+	r.onAbort = d.abort
+	r.scheduleStream(workload.NewSliceSource(reqs), d.prefillRR)
+	check("DistServe", r.run("DistServe"), d)
+}

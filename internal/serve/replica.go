@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"windserve/internal/engine"
-	"windserve/internal/kvcache"
 	"windserve/internal/perf"
 	"windserve/internal/sched"
 	"windserve/internal/sim"
@@ -105,12 +104,7 @@ func (rp *Replica) Evict(id uint64) *engine.Req {
 // their records stay open so the router can fail them over.
 func (rp *Replica) Crash() []*engine.Req {
 	rp.down = true
-	for _, ins := range rp.d.prefills {
-		if !ins.Down() {
-			ins.Crash()
-		}
-	}
-	for _, ins := range rp.d.decodes {
+	for _, ins := range rp.d.ins {
 		if !ins.Down() {
 			ins.Crash()
 		}
@@ -139,10 +133,7 @@ func (rp *Replica) Crash() []*engine.Req {
 // Restore brings a crashed replica back with empty caches.
 func (rp *Replica) Restore() {
 	rp.down = false
-	for _, ins := range rp.d.prefills {
-		ins.Restore()
-	}
-	for _, ins := range rp.d.decodes {
+	for _, ins := range rp.d.ins {
 		ins.Restore()
 	}
 }
@@ -150,10 +141,7 @@ func (rp *Replica) Restore() {
 // SetSlowdown scales every instance's compute time (1 restores nominal) —
 // the whole-replica slow-node fault.
 func (rp *Replica) SetSlowdown(factor float64) {
-	for _, ins := range rp.d.prefills {
-		ins.SetSlowdown(factor)
-	}
-	for _, ins := range rp.d.decodes {
+	for _, ins := range rp.d.ins {
 		ins.SetSlowdown(factor)
 	}
 }
@@ -175,18 +163,19 @@ func (rp *Replica) LoadSignals() (qTokens, running, sumCtx, actP, actD int) {
 // Returns a zero result (OK false) when the replica is down, the config
 // is not elastic, or the flip would empty a role.
 func (rp *Replica) Flip(toDecode bool) FlipResult {
-	if rp.down || !rp.r.cfg.Elastic {
+	if rp.down {
 		return FlipResult{}
 	}
 	return rp.d.flip(toDecode)
 }
 
-// CostModels exposes the planned prefill and decode instance cost models
-// (first instance of each role — replicas deploy identical shapes). The
-// fleet's role controller profiles these to predict TTFT and TPOT from
-// the replica's reported load signals.
-func (rp *Replica) CostModels() (prefill, decode *perf.CostModel) {
-	return rp.d.prefills[0].CM(), rp.d.decodes[0].CM()
+// Shape exposes the planned prefill and decode instance cost models
+// (first instance of each role — replicas deploy identical shapes) and
+// the per-instance decode batch cap after defaults. The fleet's role
+// controller profiles these to predict TTFT, TPOT and batch occupancy
+// from the replica's reported load signals.
+func (rp *Replica) Shape() (prefill, decode *perf.CostModel, maxDecodeBatch int) {
+	return rp.d.prefills[0].CM(), rp.d.decodes[0].CM(), rp.r.cfg.MaxDecodeBatch
 }
 
 // Aborted is how many requests this replica terminated via Abort.
@@ -197,57 +186,12 @@ func (rp *Replica) Aborted() int { return rp.r.aborted }
 // into the caller's log in canonical order at the end of a run.
 func (rp *Replica) Decisions() *sched.DecisionLog { return rp.r.cfg.Decisions }
 
-// ReplicaStats is a replica's contribution to fleet-level accounting.
-type ReplicaStats struct {
-	LiveKVBlocks        int // nonzero after drain = leak
-	PrefillKV, DecodeKV kvcache.Stats
-	PrefillComputeUtil  float64
-	DecodeComputeUtil   float64
-	TransferGB          float64
-}
-
-// Stats reads the replica's end-of-run accounting; utilizations are means
-// over the elapsed span, averaged across the replica's instances.
-func (rp *Replica) Stats(elapsed sim.Time) ReplicaStats {
-	var st ReplicaStats
-	var pcu, dcu float64
-	for _, ins := range rp.d.prefills {
-		addStats(&st.PrefillKV, ins.KV().Stats())
-		st.LiveKVBlocks += ins.KV().UsedBlocks()
-		c, _ := utilization(ins, elapsed)
-		pcu += c
-	}
-	for _, ins := range rp.d.decodes {
-		addStats(&st.DecodeKV, ins.KV().Stats())
-		st.LiveKVBlocks += ins.KV().UsedBlocks()
-		c, _ := utilization(ins, elapsed)
-		dcu += c
-	}
-	st.PrefillComputeUtil = pcu / float64(len(rp.d.prefills))
-	st.DecodeComputeUtil = dcu / float64(len(rp.d.decodes))
-	for i := range rp.d.p2d {
-		for j := range rp.d.p2d[i] {
-			st.TransferGB += rp.d.p2d[i][j].BytesMoved / 1e9
-		}
-	}
-	for j := range rp.d.d2p {
-		for i := range rp.d.d2p[j] {
-			st.TransferGB += rp.d.d2p[j][i].BytesMoved / 1e9
-		}
-	}
-	for _, row := range rp.d.pp {
-		for _, lk := range row {
-			if lk != nil {
-				st.TransferGB += lk.BytesMoved / 1e9
-			}
-		}
-	}
-	for _, row := range rp.d.dd {
-		for _, lk := range row {
-			if lk != nil {
-				st.TransferGB += lk.BytesMoved / 1e9
-			}
-		}
-	}
-	return st
+// Result reads the replica's end-of-run accounting — KV counters,
+// utilizations averaged across its instances over elapsed, link traffic
+// and live blocks — into a Result, the same fields a single-testbed run
+// fills.
+func (rp *Replica) Result(elapsed sim.Time) *Result {
+	res := &Result{Elapsed: elapsed}
+	rp.d.finalize(res)
+	return res
 }

@@ -9,6 +9,7 @@ import (
 	"windserve/internal/sim"
 	"windserve/internal/trace"
 	"windserve/internal/workload"
+	"windserve/internal/xfer"
 )
 
 // RunWindServeFrom simulates the paper's system: phase disaggregation plus
@@ -32,6 +33,15 @@ import (
 // The ablations of §5.4 are flags in Config.Wind. Arrivals are pulled
 // from src one at a time.
 func RunWindServeFrom(cfg Config, src workload.Source) (*Result, error) {
+	w, err := newWindServe(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return w.run(src), nil
+}
+
+// newWindServe plans the cluster and wires the Global Scheduler onto it.
+func newWindServe(cfg Config) (*windState, error) {
 	if cfg.Elastic {
 		return nil, fmt.Errorf("serve: WindServe manages roles through its Global Scheduler; Elastic applies to DistServe-style clusters only")
 	}
@@ -83,15 +93,19 @@ func RunWindServeFrom(cfg Config, src workload.Source) (*Result, error) {
 		KVSafetyTokens: int(cfg.Wind.KVSafetyFrac * float64(dkv.TotalBlocks()*dkv.BlockSize())),
 	}
 	prof.WarmStartTransfer(d.nominalP2DRate())
+	return w, nil
+}
 
-	r.scheduleStream(src, w.submit)
-	res := r.run(w.systemName())
-	d.finalize(res)
+// run serves src to completion (or the horizon) and assembles the result.
+func (w *windState) run(src workload.Source) *Result {
+	w.r.scheduleStream(src, w.submit)
+	res := w.r.run(w.systemName())
+	w.d.finalize(res)
 	res.Dispatched = w.dispatched
 	res.Rescheduled = w.rescheduled
 	res.Backups = w.backups
-	res.TransferRateBps = prof.TransferRate()
-	return res, nil
+	res.TransferRateBps = w.coord.Prof.TransferRate()
+	return res
 }
 
 type windState struct {
@@ -163,7 +177,7 @@ func (w *windState) freestPrefillIdx() int {
 func (w *windState) submit(q *engine.Req) {
 	pi := w.leastLoadedPrefillIdx()
 	if dj := w.d.pickDecode(); !w.cfg.Wind.DisableDispatch && dj >= 0 {
-		dec := w.d.decodes[dj]
+		dec := w.d.ins[dj]
 		in := sched.DispatchInput{
 			NewPromptTokens:      q.W.PromptTokens,
 			QueuedPrefillTokens:  w.d.prefills[pi].QueuedPrefillTokens(),
@@ -186,7 +200,7 @@ func (w *windState) submit(q *engine.Req) {
 			now := w.r.s.Now()
 			if w.cfg.Tracer != nil {
 				w.cfg.Tracer.Add("scheduler", trace.KindDispatch, now, now,
-					fmt.Sprintf("req%d→decode-%d pred=%v", q.W.ID, dj, decision.PredictedTTFT))
+					fmt.Sprintf("req%d→%s pred=%v", q.W.ID, target, decision.PredictedTTFT))
 			}
 			dec.EnqueueAssist(q)
 			return
@@ -245,10 +259,10 @@ func (w *windState) logDispatch(q *engine.Req, in sched.DispatchInput,
 	log.AddDispatch(rec)
 }
 
-// observeTransfer feeds completed p2d copies into the Profiler so
-// Algorithm 1's TTFT prediction prices the transfer a prefill-side
-// placement implies — on a degraded link that bias shifts dispatch toward
-// the decode instance.
+// observeTransfer feeds completed prefill→decode copies into the
+// Profiler so Algorithm 1's TTFT prediction prices the transfer a
+// prefill-side placement implies — on a degraded link that bias shifts
+// dispatch toward the decode instance.
 func (w *windState) observeTransfer(bytes float64, elapsed sim.Duration) {
 	w.coord.Prof.ObserveTransfer(bytes, elapsed)
 }
@@ -258,7 +272,7 @@ func (w *windState) observeTransfer(bytes float64, elapsed sim.Duration) {
 type asyncXfer struct {
 	xferDone    bool
 	prefillDone bool
-	decodeIdx   int
+	decodeIdx   int // physical index of the destination
 }
 
 // maybeStartAsyncTransfer begins streaming a request's KV to a decode
@@ -273,7 +287,7 @@ func (w *windState) maybeStartAsyncTransfer(q *engine.Req) {
 	if dj < 0 {
 		return // every decode instance is down; serial path retries later
 	}
-	if w.d.decodes[dj].KV().Allocate(q.KVID(), q.W.PromptTokens+1) != nil {
+	if w.d.ins[dj].KV().Allocate(q.KVID(), q.W.PromptTokens+1) != nil {
 		return // no decode blocks: fall back to the serial path at prefill end
 	}
 	ax := &asyncXfer{decodeIdx: dj}
@@ -283,10 +297,11 @@ func (w *windState) maybeStartAsyncTransfer(q *engine.Req) {
 	pi := w.d.prefillIdx(q)
 	start := w.r.s.Now()
 	bytes := w.d.kvBytes(q.W.PromptTokens)
-	w.d.p2d[pi][dj].Transfer(bytes, func() {
+	lk := w.d.link[pi][dj]
+	lk.Transfer(bytes, func() {
 		w.d.observeTransfer(bytes, start)
 		if w.cfg.Tracer != nil {
-			w.cfg.Tracer.Add(fmt.Sprintf("link p%d-d%d", pi, dj), trace.KindKVTransfer, start, w.r.s.Now(),
+			w.cfg.Tracer.Add("link "+lk.Name(), trace.KindKVTransfer, start, w.r.s.Now(),
 				fmt.Sprintf("req%d async %d tokens", q.W.ID, q.W.PromptTokens))
 		}
 		ax.xferDone = true
@@ -314,7 +329,7 @@ func (w *windState) maybeFinishAsync(q *engine.Req, ax *asyncXfer) {
 		return // superseded: crash recovery already re-routed the request
 	}
 	delete(w.async, q.W.ID)
-	dec := w.d.decodes[ax.decodeIdx]
+	dec := w.d.ins[ax.decodeIdx]
 	if q.Phase == engine.PhaseAborted {
 		w.d.prefills[w.d.prefillIdx(q)].ReleaseKV(q)
 		w.d.releaseAt(dec, q)
@@ -356,6 +371,12 @@ func (w *windState) onDecodeIterEnd(j int) {
 }
 
 // --- Stall-free rescheduling (paper §3.3) ------------------------------
+//
+// WindServe never flips roles, so migrations and backups name their
+// source by home decode index and their destination by prefill index.
+
+// migLink is the link from home decode j to prefill instance i.
+func (w *windState) migLink(j, i int) *xfer.Link { return w.d.link[len(w.d.prefills)+j][i] }
 
 type migration struct {
 	q *engine.Req
@@ -441,7 +462,7 @@ func (w *windState) migrationRound(m *migration) {
 	}
 	target := m.q.Ctx()
 	start := w.r.s.Now()
-	w.d.d2p[m.src][m.dst].Transfer(w.d.kvBytes(dirty), func() {
+	w.migLink(m.src, m.dst).Transfer(w.d.kvBytes(dirty), func() {
 		if m.dead {
 			return // an endpoint crashed mid-round; recovery re-homed q
 		}
@@ -471,7 +492,7 @@ func (w *windState) drainMigration(m *migration) {
 	q.Phase = engine.PhaseDraining
 	dirty := q.Ctx() - m.clean
 	start := w.r.s.Now()
-	w.d.d2p[m.src][m.dst].Transfer(w.d.kvBytes(dirty), func() {
+	w.migLink(m.src, m.dst).Transfer(w.d.kvBytes(dirty), func() {
 		if m.dead {
 			// An endpoint crashed (or q was aborted) while the tail copied.
 			// A paused drain is owned by nobody, so put the request back
@@ -550,7 +571,7 @@ func (w *windState) maybeBackup(j int, decodeFreeFrac float64) {
 	if pi < 0 {
 		return // no live prefill instance to hold a backup
 	}
-	if w.d.d2p[j][pi].Busy() {
+	if w.migLink(j, pi).Busy() {
 		return // keep backups off the critical path of migrations
 	}
 	pkv := w.d.prefills[pi].KV()
@@ -569,7 +590,7 @@ func (w *windState) maybeBackup(j int, decodeFreeFrac float64) {
 	}
 	w.backupInFlight[cand.W.ID] = true
 	start := w.r.s.Now()
-	w.d.d2p[j][pi].Transfer(w.d.kvBytes(snap), func() {
+	w.migLink(j, pi).Transfer(w.d.kvBytes(snap), func() {
 		delete(w.backupInFlight, cand.W.ID)
 		if w.cfg.Tracer != nil {
 			w.cfg.Tracer.Add(fmt.Sprintf("link d%d-p%d", j, pi), trace.KindKVTransfer, start, w.r.s.Now(),
@@ -593,18 +614,8 @@ func (w *windState) onComplete(q *engine.Req) {
 // releaseForeign drops any allocation the request holds on instances it
 // did NOT complete on (backups, stale migration targets, async copies).
 func (w *windState) releaseForeign(q *engine.Req) {
-	id := q.KVID()
-	for _, ins := range w.d.prefills {
-		if ins.KV().Has(id) {
-			_ = ins.KV().Release(id)
-			ins.Kick()
-		}
-	}
-	for _, ins := range w.d.decodes {
-		if ins.KV().Has(id) {
-			_ = ins.KV().Release(id)
-			ins.Kick()
-		}
+	for _, ins := range w.d.ins {
+		w.d.releaseAt(ins, q)
 	}
 	delete(w.async, q.W.ID)
 	delete(w.backupAt, q.W.ID)
@@ -680,6 +691,7 @@ func (w *windState) crashPrefill(i int) {
 // through backup-or-scratch recovery.
 func (w *windState) crashDecode(j int) {
 	orphans := w.d.decodes[j].Crash()
+	a := len(w.d.prefills) + j // async transfers target physical indices
 	for _, id := range sortedIDs(w.migrations) {
 		m := w.migrations[id]
 		if m.src != j {
@@ -690,7 +702,7 @@ func (w *windState) crashDecode(j int) {
 	}
 	for _, id := range sortedIDs(w.async) {
 		ax := w.async[id]
-		if ax.decodeIdx != j {
+		if ax.decodeIdx != a {
 			continue
 		}
 		if !ax.prefillDone {
@@ -735,13 +747,10 @@ func (w *windState) recoverDecodeOrphan(q *engine.Req) {
 			// Drop any other allocation the request holds (a dead
 			// migration's target, a stale async copy) — everything but the
 			// promoted backup.
-			for pi, ins := range w.d.prefills {
-				if pi != bi {
+			for a, ins := range w.d.ins {
+				if a != bi {
 					w.d.releaseAt(ins, q)
 				}
-			}
-			for _, ins := range w.d.decodes {
-				w.d.releaseAt(ins, q)
 			}
 			snap := q.BackupTokens
 			q.BackupTokens = 0
