@@ -93,8 +93,8 @@ type Config struct {
 	Prefix PrefixPolicy
 
 	// Elastic wires the prefill/decode cluster for runtime role flipping:
-	// full link matrices between same-role instances, role masks, and the
-	// drain/migrate protocol behind Replica.Flip. Only the DistServe-style
+	// links between same-home-role instances and the drain/migrate
+	// protocol behind Replica.Flip. Only the DistServe-style
 	// cluster (RunDistServeFrom, fleet replicas) supports it; the flip
 	// decisions themselves come from the fleet's RoleController. The zero
 	// value keeps the static wiring, so default runs are byte-identical.
