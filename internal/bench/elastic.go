@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"windserve/internal/elastic"
 	"windserve/internal/fleet"
 	"windserve/internal/model"
 	"windserve/internal/workload"
@@ -94,12 +93,10 @@ func ExpElastic(o Options, w io.Writer) ([]ElasticRow, error) {
 				NumReplicas: replicas,
 				Policy:      "least-loaded",
 				Shards:      o.FleetShards,
+				Elastic:     sp.elastic,
 			}
 			cfg.Replica.NumPrefill = sp.np
 			cfg.Replica.NumDecode = sp.nd
-			if sp.elastic {
-				cfg.Elastic = elastic.Default()
-			}
 			res, err := fleet.RunFrom(cfg, sc.Source(n, rate, o.Seed))
 			if err != nil {
 				return ElasticRow{}, fmt.Errorf("bench: elastic %s: %w", sp.label, err)

@@ -6,7 +6,6 @@ import (
 	"math"
 	"strings"
 
-	"windserve/internal/elastic"
 	"windserve/internal/fault"
 	"windserve/internal/fleet"
 	"windserve/internal/model"
@@ -148,12 +147,10 @@ func ExpFleetChaos(o Options, w io.Writer, plan *fault.Plan) ([]FleetRow, error)
 				MaxQueueDepth:   32 * replicas,
 				TTFTDeadline:    sim.Seconds(60),
 				BrownoutDepth:   24,
+				Elastic:         o.Elastic,
 			}
 			if j.chaos {
 				cfg.Faults = plan
-			}
-			if o.Elastic {
-				cfg.Elastic = elastic.Default()
 			}
 			g := workload.NewGenerator(ds, workload.PoissonArrivals{Rate: rate}, o.Seed)
 			res, err := fleet.RunFrom(cfg, g.Source(n))

@@ -73,7 +73,8 @@ type Config struct {
 	// MaxPrefillTokens bounds the total prompt tokens batched into one
 	// whole-prompt prefill pass.
 	MaxPrefillTokens int
-	// MaxDecodeBatch bounds the running decode batch size.
+	// MaxDecodeBatch bounds the running decode batch size
+	// (DefaultMaxDecodeBatch if 0).
 	MaxDecodeBatch int
 	// SBD runs assist prefills in a separate stream concurrently with
 	// decode iterations (WindServe's Stream-based Disaggregation). When
@@ -85,6 +86,10 @@ type Config struct {
 	// pipeline at once). Defaults to MaxPrefillTokens.
 	AssistBatchTokens int
 }
+
+// DefaultMaxDecodeBatch is the running-batch cap every serving system
+// deploys.
+const DefaultMaxDecodeBatch = 256
 
 // Instance is one serving instance (a prefill, decode, or co-located
 // engine) advancing on the shared simulator.
@@ -139,7 +144,7 @@ func NewInstance(s *sim.Simulator, cfg Config, hooks Hooks) (*Instance, error) {
 		return nil, fmt.Errorf("engine: %s needs a cost model and KV manager", cfg.Name)
 	}
 	if cfg.MaxDecodeBatch <= 0 {
-		cfg.MaxDecodeBatch = 256
+		cfg.MaxDecodeBatch = DefaultMaxDecodeBatch
 	}
 	if cfg.MaxPrefillTokens <= 0 {
 		cfg.MaxPrefillTokens = 8192

@@ -106,6 +106,18 @@ type Req struct {
 // NewReq wraps a workload request.
 func NewReq(w workload.Request) *Req { return &Req{W: w} }
 
+// Restart forgets everything the request did on its instances — prompt
+// progress, prefix hit, generated tokens, assist, migration and backup
+// state — so it can re-prefill from scratch after its KV was lost.
+func (r *Req) Restart() {
+	r.PrefillDone = 0
+	r.PrefixHit = 0
+	r.Generated = 0
+	r.Assist = false
+	r.Migrating = false
+	r.BackupTokens = 0
+}
+
 // KVID is the request's key in KV managers.
 func (r *Req) KVID() kvcache.RequestID { return kvcache.RequestID(r.W.ID) }
 

@@ -1,35 +1,69 @@
 package fleet
 
 // The role controller is the fleet's elastic brain: it watches each
-// replica's self-reported pressure signals (the same NetDelay-stale view
+// replica's self-reported pressure signals (the same netDelay-stale view
 // the routing policies read) and flips instances between prefill and
 // decode roles when one phase is predicted to miss its SLO while the
 // other has headroom. Decisions happen on the router actor; execution is
 // an mFlip message to the replica, whose serve-layer drain/migrate
 // protocol (serve/elastic.go) does the actual work. Hysteresis lives in
-// elastic.Policy.Decide, overload deferral in the shared brown-out
-// helpers, and a per-replica cooldown keeps the fleet from thrashing.
+// decide, overload deferral in the brown-out latch, and a per-replica
+// cooldown keeps the fleet from thrashing.
 
 import (
 	"fmt"
 
-	"windserve/internal/elastic"
+	"windserve/internal/engine"
 	"windserve/internal/sched"
 	"windserve/internal/sim"
 )
+
+// The flip policy.
+const (
+	// flipEvery is the controller's evaluation period.
+	flipEvery = sim.Duration(0.25)
+	// flipCooldown is the minimum spacing between flips of the same
+	// replica, so a flip's drain/migration cost is amortized before the
+	// next decision.
+	flipCooldown = sim.Duration(5)
+	// flipRatio is the hysteresis factor: a flip toward a role requires
+	// that role's pressure to exceed the other's by at least this ratio.
+	flipRatio = 2
+	// flipMinPressure gates flips entirely until the winning side's
+	// pressure (predicted latency / SLO target) reaches this floor — an
+	// idle cluster must not oscillate on noise.
+	flipMinPressure = 0.5
+	// roleFloor is the per-role acting instance count a flip may never
+	// go below.
+	roleFloor = 1
+)
+
+// decide maps a pair of pressures onto a flip decision: whether to flip
+// one instance, and if so whether toward decode. prefillPressure and
+// decodePressure are dimensionless (predicted latency over SLO target;
+// 1.0 = at the objective). A flip toward the loaded role requires its
+// pressure to reach flipMinPressure AND exceed the other side by
+// flipRatio, and must leave the shrinking role above roleFloor.
+func decide(prefillPressure, decodePressure float64, actPrefill, actDecode int) (flip, toDecode bool) {
+	if prefillPressure >= flipMinPressure && prefillPressure >= flipRatio*decodePressure && actDecode > roleFloor {
+		return true, false
+	}
+	if decodePressure >= flipMinPressure && decodePressure >= flipRatio*prefillPressure && actPrefill > roleFloor {
+		return true, true
+	}
+	return false, false
+}
 
 // roleController runs on the router shard. One tick chain (the same
 // kick/park pattern as replica load reports) evaluates every replica;
 // per-replica cooldown and pending-flip state serialize flips so a
 // replica never sees a second mFlip while draining the first.
 type roleController struct {
-	f   *fleet
-	pol elastic.Policy
+	f *fleet
 
 	// profP/profD predict prefill latency and decode iteration time for
 	// the replicas' instance shapes (identical across replicas).
 	profP, profD *sched.Profiler
-	mdb          int // per-instance decode batch cap (occupancy denominator)
 
 	pendingFlip []bool     // an mFlip is in flight toward this replica
 	nextFlipAt  []sim.Time // cooldown gate, per replica
@@ -43,7 +77,7 @@ type roleController struct {
 }
 
 func newRoleController(f *fleet) (*roleController, error) {
-	pcm, dcm, mdb := f.acts[0].rp.Shape()
+	pcm, dcm := f.acts[0].rp.Shape()
 	profP, err := sched.Profile(pcm, nil)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: profiling prefill shape: %w", err)
@@ -53,8 +87,7 @@ func newRoleController(f *fleet) (*roleController, error) {
 		return nil, fmt.Errorf("fleet: profiling decode shape: %w", err)
 	}
 	rc := &roleController{
-		f: f, pol: f.cfg.Elastic,
-		profP: profP, profD: profD, mdb: mdb,
+		f: f, profP: profP, profD: profD,
 		pendingFlip: make([]bool, f.cfg.NumReplicas),
 		nextFlipAt:  make([]sim.Time, f.cfg.NumReplicas),
 	}
@@ -69,7 +102,7 @@ func (rc *roleController) kick() {
 		return
 	}
 	rc.ticking = true
-	rc.f.s.Schedule(rc.pol.Every, rc.tickFn)
+	rc.f.s.Schedule(flipEvery, rc.tickFn)
 }
 
 // tick evaluates every replica once, then re-arms — or parks when the
@@ -88,7 +121,7 @@ func (rc *roleController) tick() {
 			rc.consider(i)
 		}
 	}
-	f.s.Schedule(rc.pol.Every, rc.tickFn)
+	f.s.Schedule(flipEvery, rc.tickFn)
 }
 
 // consider evaluates one replica and sends at most one mFlip.
@@ -102,17 +135,17 @@ func (rc *roleController) consider(i int) {
 		return // no elastic report yet (or a role drained to zero mid-crash)
 	}
 	pp, dp := rc.pressures(sig)
-	dir := rc.pol.Decide(pp, dp, sig.actP, sig.actD)
-	if dir == elastic.None {
+	flip, toDecode := decide(pp, dp, sig.actP, sig.actD)
+	if !flip {
 		return
+	}
+	dir, a := "to-prefill", 0
+	if toDecode {
+		dir, a = "to-decode", 1
 	}
 	f.dec.AddRoute(f.s.Now(), 0, f.replicas[i].Name(),
 		fmt.Sprintf("flip-%s pp=%.2f dp=%.2f", dir, pp, dp))
 	rc.pendingFlip[i] = true
-	a := 0
-	if dir == elastic.ToDecode {
-		a = 1
-	}
 	f.sendTo(i, msg{kind: mFlip, a: a})
 }
 
@@ -124,7 +157,7 @@ func (rc *roleController) consider(i int) {
 func (rc *roleController) pressures(sig loadInfo) (prefill, decode float64) {
 	slo := rc.f.cfg.Replica.SLO
 	prefill = sloRatio(rc.profP.PredictPrefill(sig.qTok/sig.actP), slo.TTFT)
-	decode = float64(sig.run) / float64(sig.actD*rc.mdb)
+	decode = float64(sig.run) / float64(sig.actD*engine.DefaultMaxDecodeBatch)
 	if r := sloRatio(rc.profD.PredictDecode(sig.sumCtx/sig.actD), slo.TPOT); r > decode {
 		decode = r
 	}
@@ -148,7 +181,7 @@ func (rc *roleController) flipDone(idx int, m msg) {
 		return
 	}
 	rc.pendingFlip[idx] = false
-	rc.nextFlipAt[idx] = rc.f.s.Now().Add(rc.pol.Cooldown)
+	rc.nextFlipAt[idx] = rc.f.s.Now().Add(flipCooldown)
 	if m.ok {
 		rc.flips++
 		rc.migrated += m.a

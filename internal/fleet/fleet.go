@@ -10,7 +10,7 @@
 // The fleet is built as message-passing actors on a shard.Group: the
 // router actor owns the request ledger, the workload source, admission
 // and failover policy; each replica actor owns its replica's entire
-// state and talks to the router only through NetDelay-latent messages
+// state and talks to the router only through netDelay-latent messages
 // (submits, evictions, load reports, ledger forwards). With Shards == 1
 // everything runs on one event loop; with Shards > 1 the replicas are
 // partitioned across shard simulators driven on separate goroutines with
@@ -25,7 +25,6 @@ import (
 	"math"
 	"sort"
 
-	"windserve/internal/elastic"
 	"windserve/internal/fault"
 	"windserve/internal/kvcache"
 	"windserve/internal/metrics"
@@ -39,8 +38,8 @@ import (
 // Config describes one fleet experiment.
 type Config struct {
 	// Replica is the per-replica serving configuration (model, placements,
-	// instance counts). NamePrefix, Shed, and Faults must be zero: the
-	// fleet assigns prefixes and owns shedding and fault injection.
+	// instance counts). Shed and Faults must be zero: the fleet owns
+	// shedding and fault injection, and names each replica itself.
 	Replica serve.Config
 	// NumReplicas deploys that many identical replicas (≥1).
 	NumReplicas int
@@ -55,16 +54,6 @@ type Config struct {
 	// depend on the shard count — folding them into Result would break
 	// digest identity across configurations.
 	ShardStats *shard.Stats
-	// NetDelay is the virtual router↔replica message latency: every
-	// dispatch, eviction, load report, and ledger write crosses it. It is
-	// also the shard group's conservative lookahead — larger values mean
-	// fewer barriers and faster parallel runs, staler routing views.
-	// Default 5 ms.
-	NetDelay sim.Duration
-	// LoadReportEvery is how often a busy replica self-reports queue
-	// depth and in-flight count to the router (unchanged loads are
-	// suppressed). Default 25 ms.
-	LoadReportEvery sim.Duration
 
 	// Policy picks the router: "round-robin", "least-loaded", or
 	// "weighted" (health/SLO-aware scoring). Default "round-robin".
@@ -75,9 +64,6 @@ type Config struct {
 	// against slow, partitioned, or silently sick replicas. 0 disables
 	// timeout failover (crash failover still happens).
 	FailoverTimeout sim.Duration
-	// MaxFailovers caps how many times one request may be failed over
-	// before the router gives up and aborts it (default 2).
-	MaxFailovers int
 
 	// MaxQueueDepth rejects an arrival when the fleet-wide queue depth
 	// (all replicas + parked orphans) is already at least this. 0
@@ -89,19 +75,16 @@ type Config struct {
 
 	// BrownoutDepth enters brown-out when the mean queue depth per
 	// healthy replica reaches it; the fleet exits at half that. While
-	// browned out, timeout failovers are deferred by BrownoutSlack× —
+	// browned out, timeout failovers are deferred by brownoutSlack× —
 	// re-prefilling elsewhere would only deepen the overload. 0 disables.
 	BrownoutDepth int
-	// BrownoutSlack multiplies FailoverTimeout during brown-out
-	// (default 2).
-	BrownoutSlack float64
 
 	// Elastic turns on runtime prefill↔decode role flipping: the fleet's
-	// RoleController watches each replica's reported pressure signals and
+	// role controller watches each replica's reported pressure signals and
 	// flips instances between roles under hysteresis, cooldown, and a
 	// minimum-per-role floor, draining in-flight work through the replica's
-	// link mesh. The zero value keeps the fleet static and byte-identical.
-	Elastic elastic.Policy
+	// link mesh. False keeps the fleet static and byte-identical.
+	Elastic bool
 
 	// Faults is the chaos schedule: replica-granularity events
 	// (rcrash/rslow/rpart) plus degrade and cancel. Instance-granularity
@@ -116,6 +99,23 @@ type Config struct {
 	// merges them here in canonical (time, actor, append) order.
 	Decisions *sched.DecisionLog
 }
+
+// Router constants.
+const (
+	// netDelay is the virtual router↔replica message latency: every
+	// dispatch, eviction, load report, and ledger write crosses it. It is
+	// also the shard group's conservative lookahead, clamped to Horizon.
+	netDelay = sim.Duration(0.005)
+	// loadReportEvery is how often a busy replica self-reports queue
+	// depth and in-flight count to the router (unchanged loads are
+	// suppressed).
+	loadReportEvery = sim.Duration(0.025)
+	// maxFailovers caps how many times one request may be failed over
+	// before the router gives up and aborts it.
+	maxFailovers = 2
+	// brownoutSlack multiplies FailoverTimeout during brown-out.
+	brownoutSlack = 2
+)
 
 // Result is what one fleet run produces.
 type Result struct {
@@ -198,6 +198,9 @@ type fleet struct {
 	rec *metrics.Recorder
 	cfg Config
 	dec *sched.DecisionLog // router's private log; nil if cfg.Decisions is
+	// delay is netDelay clamped to the drain horizon: the lookahead may
+	// never exceed it.
+	delay sim.Duration
 
 	acts []*replicaActor
 	// replicas is the router's delayed load view, one handle per replica
@@ -226,7 +229,7 @@ type fleet struct {
 
 	// completions[i] counts records closed in virtual second i — the
 	// recovery-time signal. Bucketed by the completion's true event time,
-	// not its (NetDelay-later) application time.
+	// not its (delay-later) application time.
 	completions []int
 
 	// arrival streaming (the runner pattern: one pending event).
@@ -242,46 +245,25 @@ func (c *Config) validate() error {
 	if c.NumReplicas < 1 {
 		return fmt.Errorf("fleet: NumReplicas %d < 1", c.NumReplicas)
 	}
-	if c.Replica.NamePrefix != "" {
-		return fmt.Errorf("fleet: Replica.NamePrefix is assigned per replica; leave it empty")
-	}
-	// NaN slips past every sign check below (and a NaN timer panics the
-	// simulator mid-run); ±Inf past most of them.
+	// The negated comparison catches NaN (a NaN timer panics the
+	// simulator mid-run) and -Inf; +Inf is checked apart.
 	for _, f := range []struct {
 		name string
 		v    float64
 	}{
+		{"Shards", float64(c.Shards)},
 		{"FailoverTimeout", float64(c.FailoverTimeout)},
+		{"MaxQueueDepth", float64(c.MaxQueueDepth)},
 		{"TTFTDeadline", float64(c.TTFTDeadline)},
-		{"NetDelay", float64(c.NetDelay)},
-		{"LoadReportEvery", float64(c.LoadReportEvery)},
-		{"BrownoutSlack", c.BrownoutSlack},
+		{"BrownoutDepth", float64(c.BrownoutDepth)},
 		{"Horizon", float64(c.Horizon)},
 	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("fleet: %s %v is not finite", f.name, f.v)
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("fleet: %s %v must be finite and non-negative", f.name, f.v)
 		}
-	}
-	if c.BrownoutDepth < 0 {
-		return fmt.Errorf("fleet: BrownoutDepth %d is negative", c.BrownoutDepth)
-	}
-	if c.BrownoutSlack < 0 || c.MaxFailovers < 0 || c.MaxQueueDepth < 0 {
-		return fmt.Errorf("fleet: negative policy knob")
-	}
-	if c.FailoverTimeout < 0 || c.TTFTDeadline < 0 {
-		return fmt.Errorf("fleet: negative timeout")
-	}
-	if c.Shards < 0 || c.NetDelay < 0 || c.LoadReportEvery < 0 {
-		return fmt.Errorf("fleet: negative shard knob")
 	}
 	if c.Shards > 1 && c.Replica.Tracer != nil {
 		return fmt.Errorf("fleet: tracing is single-threaded; run with Shards <= 1")
-	}
-	if c.Replica.Elastic {
-		return fmt.Errorf("fleet: set Config.Elastic (the policy), not Replica.Elastic; the fleet wires replicas itself")
-	}
-	if err := c.Elastic.Validate(); err != nil {
-		return err
 	}
 	if _, err := newPolicy(c.Policy); err != nil {
 		return err
@@ -301,12 +283,6 @@ func (c *Config) fillDefaults() {
 	if c.Policy == "" {
 		c.Policy = "round-robin"
 	}
-	if c.MaxFailovers == 0 {
-		c.MaxFailovers = 2
-	}
-	if c.BrownoutSlack == 0 {
-		c.BrownoutSlack = 2
-	}
 	if c.Horizon <= 0 {
 		c.Horizon = sim.Seconds(7200)
 	}
@@ -316,16 +292,6 @@ func (c *Config) fillDefaults() {
 	if c.Shards > c.NumReplicas {
 		c.Shards = c.NumReplicas
 	}
-	if c.NetDelay == 0 {
-		c.NetDelay = sim.Seconds(0.005)
-	}
-	if c.LoadReportEvery == 0 {
-		c.LoadReportEvery = sim.Seconds(0.025)
-	}
-	if sim.Time(c.NetDelay) > sim.Time(c.Horizon) {
-		c.NetDelay = c.Horizon // lookahead may never exceed the drain cap
-	}
-	c.Elastic = c.Elastic.WithDefaults()
 }
 
 // RunFrom executes one fleet experiment, pulling arrivals from src one
@@ -336,14 +302,15 @@ func RunFrom(cfg Config, src workload.Source) (*Result, error) {
 	}
 	cfg.fillDefaults()
 
-	g := shard.NewGroup[msg](cfg.Shards, cfg.NetDelay)
+	delay := min(netDelay, cfg.Horizon)
+	g := shard.NewGroup[msg](cfg.Shards, delay)
 	g.GrowActors(cfg.NumReplicas + 1)
 	rec := metrics.NewRecorder()
 	if cfg.Replica.Stream.Enabled {
 		rec = metrics.NewStreamingRecorder(cfg.Replica.SLO, cfg.Replica.Stream.MaxRecords)
 	}
 	f := &fleet{
-		g: g, s: g.Shard(0).Sim(), rec: rec, cfg: cfg,
+		g: g, s: g.Shard(0).Sim(), rec: rec, cfg: cfg, delay: delay,
 		down:        make([]bool, cfg.NumReplicas),
 		partitioned: make([]bool, cfg.NumReplicas),
 		state:       make(map[uint64]*reqState),
@@ -360,14 +327,12 @@ func RunFrom(cfg Config, src workload.Source) (*Result, error) {
 		ra := &replicaActor{f: f, idx: i, sh: g.Shard(i % cfg.Shards)}
 		ra.reportFn = ra.report
 		rcfg := cfg.Replica
-		rcfg.NamePrefix = fmt.Sprintf("r%d/", i)
-		rcfg.Elastic = cfg.Elastic.Enabled
 		if cfg.Decisions != nil {
 			rcfg.Decisions = sched.NewDecisionLog()
 		} else {
 			rcfg.Decisions = nil
 		}
-		rp, err := serve.NewReplica(ra.sh.Sim(), replicaLedger{ra: ra}, rcfg, nil)
+		rp, err := serve.NewReplica(ra.sh.Sim(), replicaLedger{ra: ra}, rcfg, fmt.Sprintf("r%d/", i), cfg.Elastic)
 		if err != nil {
 			return nil, err
 		}
@@ -381,7 +346,7 @@ func RunFrom(cfg Config, src workload.Source) (*Result, error) {
 	if err := f.installFaults(); err != nil {
 		return nil, err
 	}
-	if cfg.Elastic.Enabled {
+	if cfg.Elastic {
 		rc, err := newRoleController(f)
 		if err != nil {
 			return nil, err
@@ -419,7 +384,7 @@ func (f *fleet) dispatch(src int, m msg) {
 // sendTo posts a message from the router to replica idx.
 func (f *fleet) sendTo(idx int, m msg) {
 	m.to = idx + 1
-	f.g.Shard(0).Send(f.acts[idx].sh.Index(), 0, f.cfg.NetDelay, m)
+	f.g.Shard(0).Send(f.acts[idx].sh.Index(), 0, f.delay, m)
 }
 
 // routerMsg handles one replica→router message. idx is the sender.
@@ -551,7 +516,7 @@ func (f *fleet) failoverTimerFired(id uint64, seq int) {
 	if f.brownout {
 		// Deferred, not cancelled: re-check after the slack interval. If
 		// the brown-out has ended by then the request finally moves.
-		extra := sim.Duration(float64(f.cfg.FailoverTimeout) * (f.cfg.BrownoutSlack - 1))
+		extra := f.cfg.FailoverTimeout * (brownoutSlack - 1)
 		if extra > 0 {
 			f.s.Schedule(extra, func() { f.failoverTimerFired(id, seq) })
 			return
@@ -628,13 +593,13 @@ func (f *fleet) orphanReturned(m msg) {
 }
 
 // failover re-routes an evicted request (record still open) to another
-// healthy replica, or gives up after MaxFailovers. generated is the token
+// healthy replica, or gives up after maxFailovers. generated is the token
 // count the record closes with if the router gives up.
 func (f *fleet) failover(st *reqState, generated int, reason string) {
 	id := st.w.ID
 	st.failovers++
 	f.failovers++
-	if st.failovers > f.cfg.MaxFailovers {
+	if st.failovers > maxFailovers {
 		f.rec.Abort(id, f.s.Now(), generated)
 		f.aborted++
 		delete(f.state, id)
@@ -729,9 +694,9 @@ func (f *fleet) numHealthy() int {
 }
 
 // updateBrownout applies the overload hysteresis — enter at BrownoutDepth
-// mean queue depth per healthy replica, exit at half — through the same
-// elastic helpers the role controller's flip deferral reads, so the two
-// mechanisms can never disagree about what "overloaded" means.
+// mean queue depth per healthy replica, exit at half. The role
+// controller defers flips on the same latch, so the two mechanisms can
+// never disagree about what "overloaded" means.
 func (f *fleet) updateBrownout() {
 	d := f.cfg.BrownoutDepth
 	if d == 0 {
@@ -741,8 +706,8 @@ func (f *fleet) updateBrownout() {
 	if nh == 0 {
 		return // no denominator: hold the current state
 	}
-	mean := elastic.MeanQueueDepth(f.totalQueueDepth(), nh)
-	now := elastic.OverloadHysteresis(f.brownout, mean, d)
+	mean := meanQueueDepth(f.totalQueueDepth(), nh)
+	now := overloadHysteresis(f.brownout, mean, d)
 	if now && !f.brownout {
 		f.brownout = true
 		f.brownoutSince = f.s.Now()
@@ -754,10 +719,33 @@ func (f *fleet) updateBrownout() {
 	}
 }
 
+// meanQueueDepth is the fleet's overload signal: total queued requests
+// per healthy replica (integer division). Zero when no replica is
+// healthy.
+func meanQueueDepth(total, healthy int) int {
+	if healthy <= 0 {
+		return 0
+	}
+	return total / healthy
+}
+
+// overloadHysteresis advances the brown-out latch one snapshot: entering
+// requires the mean depth to reach enter, exiting requires it to fall to
+// enter/2 (integer division). enter <= 0 disables the latch.
+func overloadHysteresis(in bool, mean, enter int) bool {
+	if enter <= 0 {
+		return false
+	}
+	if in {
+		return mean > enter/2
+	}
+	return mean >= enter
+}
+
 // installFaults compiles the chaos plan into router-side hooks. Fault
 // events fire on the router's shard; effects cross to the replicas as
 // messages, so health flips at the router the instant the event fires and
-// at the replica one NetDelay later — in that order, on every shard count.
+// at the replica one delay later — in that order, on every shard count.
 func (f *fleet) installFaults() error {
 	if f.cfg.Faults == nil {
 		return nil

@@ -190,7 +190,6 @@ func TestFleetValidation(t *testing.T) {
 	base := testConfig(t, 2)
 	for name, mutate := range map[string]func(*Config){
 		"no replicas":     func(c *Config) { c.NumReplicas = 0 },
-		"prefix set":      func(c *Config) { c.Replica.NamePrefix = "x/" },
 		"unknown policy":  func(c *Config) { c.Policy = "random" },
 		"instance fault":  func(c *Config) { c.Faults = mustPlan(t, "crash:d0@5+5") },
 		"replica too big": func(c *Config) { c.Faults = mustPlan(t, "rcrash:r2@5+5") },
@@ -204,9 +203,10 @@ func TestFleetValidation(t *testing.T) {
 }
 
 // TestFleetValidationRejectsNonFinite requires NaN and ±Inf in every
-// float knob, and a negative BrownoutDepth, to fail validation with an
-// error naming the field: a NaN FailoverTimeout would otherwise panic
-// the simulator mid-run.
+// float knob, and a negative BrownoutDepth or Horizon, to fail
+// validation with an error naming the field: a NaN FailoverTimeout
+// would otherwise panic the simulator mid-run, and a negative Horizon
+// would silently become the default.
 func TestFleetValidationRejectsNonFinite(t *testing.T) {
 	cases := []struct {
 		field string
@@ -214,9 +214,6 @@ func TestFleetValidationRejectsNonFinite(t *testing.T) {
 	}{
 		{"FailoverTimeout", func(c *Config, v float64) { c.FailoverTimeout = sim.Duration(v) }},
 		{"TTFTDeadline", func(c *Config, v float64) { c.TTFTDeadline = sim.Duration(v) }},
-		{"NetDelay", func(c *Config, v float64) { c.NetDelay = sim.Duration(v) }},
-		{"LoadReportEvery", func(c *Config, v float64) { c.LoadReportEvery = sim.Duration(v) }},
-		{"BrownoutSlack", func(c *Config, v float64) { c.BrownoutSlack = v }},
 		{"Horizon", func(c *Config, v float64) { c.Horizon = sim.Duration(v) }},
 	}
 	for _, tc := range cases {
@@ -228,11 +225,95 @@ func TestFleetValidationRejectsNonFinite(t *testing.T) {
 			}
 		}
 	}
-	cfg := testConfig(t, 2)
-	cfg.BrownoutDepth = -1
-	if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), "BrownoutDepth") {
-		t.Errorf("BrownoutDepth -1: validate() = %v, want an error naming the field", err)
+	for field, set := range map[string]func(*Config){
+		"BrownoutDepth": func(c *Config) { c.BrownoutDepth = -1 },
+		"Horizon":       func(c *Config) { c.Horizon = -sim.Seconds(1) },
+	} {
+		cfg := testConfig(t, 2)
+		set(&cfg)
+		if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("negative %s: validate() = %v, want an error naming the field", field, err)
+		}
 	}
+}
+
+// TestOverloadHysteresisMatchesHistoricalBrownout pins the brown-out
+// latch to the fleet's historical inline rule
+//
+//	if !in && mean >= d  -> enter
+//	if in  && mean <= d/2 -> exit
+//
+// over the full small-integer space (including the d/2 integer-division
+// edge at odd depths).
+func TestOverloadHysteresisMatchesHistoricalBrownout(t *testing.T) {
+	for d := 0; d <= 33; d++ {
+		for total := 0; total <= 200; total++ {
+			for healthy := 0; healthy <= 9; healthy++ {
+				mean := meanQueueDepth(total, healthy)
+				for _, in := range []bool{false, true} {
+					want := in
+					if d > 0 {
+						if !in && mean >= d {
+							want = true
+						} else if in && mean <= d/2 {
+							want = false
+						}
+					} else {
+						want = false
+					}
+					if got := overloadHysteresis(in, mean, d); got != want {
+						t.Fatalf("overloadHysteresis(%v, mean=%d, d=%d) = %v, want %v (total=%d healthy=%d)",
+							in, mean, d, got, want, total, healthy)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestMeanQueueDepth(t *testing.T) {
+	if got := meanQueueDepth(10, 0); got != 0 {
+		t.Fatalf("no healthy replicas: %d", got)
+	}
+	if got := meanQueueDepth(10, 3); got != 3 {
+		t.Fatalf("integer division: %d", got)
+	}
+}
+
+// FuzzFleetConfig writes fuzz input into every numeric field
+// fleet.Config owns — replica and shard counts, failover timeout,
+// admission depth, deadline, brown-out depth and horizon — then
+// validates. Validation must never panic, and a config it accepts must
+// hold only finite, non-negative numbers after fillDefaults, with at
+// least one replica and 1 <= Shards <= NumReplicas. Accepted configs are
+// not run: a fuzzed replica count would allocate without bound.
+func FuzzFleetConfig(f *testing.F) {
+	f.Add(4, 1, 20.0, 0, 0.0, 0, 600.0)
+	f.Fuzz(func(t *testing.T, replicas, shards int, failover float64, queue int, deadline float64, brownout int, horizon float64) {
+		cfg := testConfig(t, replicas)
+		cfg.Shards = shards
+		cfg.FailoverTimeout = sim.Duration(failover)
+		cfg.MaxQueueDepth = queue
+		cfg.TTFTDeadline = sim.Duration(deadline)
+		cfg.BrownoutDepth = brownout
+		cfg.Horizon = sim.Duration(horizon)
+		if cfg.validate() != nil {
+			return
+		}
+		cfg.fillDefaults()
+		for _, v := range []float64{
+			float64(cfg.NumReplicas), float64(cfg.Shards), float64(cfg.FailoverTimeout),
+			float64(cfg.MaxQueueDepth), float64(cfg.TTFTDeadline), float64(cfg.BrownoutDepth),
+			float64(cfg.Horizon),
+		} {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				t.Fatalf("validate accepted a config with numeric field %v after fillDefaults: %+v", v, cfg)
+			}
+		}
+		if cfg.NumReplicas < 1 || cfg.Shards < 1 || cfg.Shards > cfg.NumReplicas {
+			t.Fatalf("validate accepted %d replicas on %d shards", cfg.NumReplicas, cfg.Shards)
+		}
+	})
 }
 
 func mustPlan(t *testing.T, spec string) *fault.Plan {

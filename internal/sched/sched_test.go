@@ -277,37 +277,36 @@ func TestPickVictimsShortestFirst(t *testing.T) {
 }
 
 func TestBackupPolicy(t *testing.T) {
-	p := DefaultBackupPolicy()
-	if !p.ShouldBackup(0.2, 0.8) {
+	if !ShouldBackup(0.2, 0.8) {
 		t.Error("pressured decode + free prefill should back up")
 	}
-	if p.ShouldBackup(0.6, 0.8) {
+	if ShouldBackup(0.6, 0.8) {
 		t.Error("relaxed decode should not back up")
 	}
-	if p.ShouldBackup(0.2, 0.3) {
+	if ShouldBackup(0.2, 0.3) {
 		t.Error("busy prefill should not back up")
 	}
 	long := mkReq(1, 1500, 10)
 	short := mkReq(2, 100, 10)
 	backed := mkReq(3, 1900, 10)
 	backed.BackupTokens = 1900
-	got := p.PickBackupCandidate([]*engine.Req{short, long, backed}, nil)
+	got := PickBackupCandidate([]*engine.Req{short, long, backed}, nil)
 	if got != long {
 		t.Fatalf("candidate = %v, want the long unbacked request", got)
 	}
-	if p.PickBackupCandidate([]*engine.Req{short}, nil) != nil {
+	if PickBackupCandidate([]*engine.Req{short}, nil) != nil {
 		t.Error("short requests should not be backed up")
 	}
 	// A request whose backup copy is still in flight is skipped, even
 	// though it is the longest; the next-longest wins.
 	copying := mkReq(4, 1800, 10)
 	inFlight := map[uint64]bool{copying.W.ID: true}
-	if got := p.PickBackupCandidate([]*engine.Req{short, copying, long}, inFlight); got != long {
+	if got := PickBackupCandidate([]*engine.Req{short, copying, long}, inFlight); got != long {
 		t.Fatalf("candidate = %v, want the long request (req4 is in flight)", got)
 	}
 	// Equal contexts keep the earliest (strict >).
 	twin := mkReq(5, 1500, 10)
-	if got := p.PickBackupCandidate([]*engine.Req{long, twin}, nil); got != long {
+	if got := PickBackupCandidate([]*engine.Req{long, twin}, nil); got != long {
 		t.Errorf("tie picked %v, want the earlier request", got)
 	}
 }

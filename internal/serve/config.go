@@ -37,33 +37,20 @@ type Config struct {
 	SLO    metrics.SLO
 
 	// PrefillPlace and DecodePlace shape the PD instances
-	// (paper Table 3). VLLM uses ColocatedPlace instead.
-	PrefillPlace   perf.Placement
-	DecodePlace    perf.Placement
-	ColocatedPlace perf.Placement
+	// (paper Table 3). VLLM replicas use the prefill shape.
+	PrefillPlace perf.Placement
+	DecodePlace  perf.Placement
 	// NumPrefill and NumDecode deploy that many instances of each shape
 	// (default 1 each, the paper's setup). Multi-instance routing — the
 	// paper's stated future work — is least-loaded for WindServe and
 	// round-robin for DistServe.
 	NumPrefill int
 	NumDecode  int
-	// NamePrefix prepends every instance, link, and trace name — fleet
-	// replicas set "r<i>/" so names stay unique on a shared simulator.
-	// Empty (the default) keeps single-testbed names unchanged.
-	NamePrefix string
 
-	// BlockSize is the KV block granularity (tokens).
-	BlockSize int
-	// ReserveFrac is per-GPU memory held back for activations.
-	ReserveFrac float64
-	// CPUSwapTokens is per-instance host swap capacity in tokens.
-	CPUSwapTokens int
 	// MaxPrefillTokens bounds a whole-prompt prefill batch.
 	MaxPrefillTokens int
 	// ChunkSize is the chunked-prefill budget.
 	ChunkSize int
-	// MaxDecodeBatch bounds the running batch.
-	MaxDecodeBatch int
 	// Horizon caps the simulation after the last arrival (safety against
 	// saturated systems that would otherwise drain for hours of virtual
 	// time). Zero means 7200 s.
@@ -91,15 +78,15 @@ type Config struct {
 	// prefix caching. The zero value keeps caching off, so default runs
 	// are byte-identical.
 	Prefix PrefixPolicy
-
-	// Elastic wires the prefill/decode cluster for runtime role flipping:
-	// links between same-home-role instances and the drain/migrate
-	// protocol behind Replica.Flip. Only the DistServe-style
-	// cluster (RunDistServeFrom, fleet replicas) supports it; the flip
-	// decisions themselves come from the fleet's RoleController. The zero
-	// value keeps the static wiring, so default runs are byte-identical.
-	Elastic bool
 }
+
+// Serving constants shared by every system.
+const (
+	// reserveFrac is per-GPU memory held back for activations.
+	reserveFrac = 0.1
+	// cpuSwapTokens is per-instance host swap capacity in tokens.
+	cpuSwapTokens = 1 << 18
+)
 
 // PrefixPolicy configures cross-request prefix caching: requests carrying
 // a PrefixGroup share content-identified KV blocks for their common
@@ -152,8 +139,6 @@ type WindOptions struct {
 	// DisableResched turns Dynamic Rescheduling off
 	// (WindServe-no-resche, Fig. 13b).
 	DisableResched bool
-	// DisableDispatch turns Dynamic Prefill Dispatch off.
-	DisableDispatch bool
 	// DisableAsyncTransfer reverts to DistServe-style serial transfers.
 	DisableAsyncTransfer bool
 	// DisableBackup turns proactive KV backups off.
@@ -162,14 +147,8 @@ type WindOptions struct {
 	// ThresholdFrac sets Algorithm 1's thrd = frac × TTFT SLO. The paper
 	// sets the threshold "slightly below the TTFT SLO"; default 0.8.
 	ThresholdFrac float64
-	// KVSafetyFrac keeps this fraction of decode KV free of assists.
-	KVSafetyFrac float64
-	// RefDecodeBatch sizes the assist budget (defaults to 16 requests at
-	// half the model's context).
-	RefDecodeBatch perf.Batch
 
 	Resched sched.ReschedulePolicy
-	Backup  sched.BackupPolicy
 }
 
 // PaperPlacement returns Table 3's placement for a model.
@@ -221,20 +200,15 @@ func DefaultConfig(m model.Config) (Config, error) {
 	}
 	pre, dec := PaperPlacement(m)
 	cfg := Config{
-		Model:          m,
-		Topo:           gpu.PaperTestbed(),
-		Params:         perf.DefaultParams(),
-		SLO:            slo,
-		PrefillPlace:   pre,
-		DecodePlace:    dec,
-		ColocatedPlace: pre, // vLLM replicas use the prefill shape
+		Model:        m,
+		Topo:         gpu.PaperTestbed(),
+		Params:       perf.DefaultParams(),
+		SLO:          slo,
+		PrefillPlace: pre,
+		DecodePlace:  dec,
 
-		BlockSize:        16,
-		ReserveFrac:      0.1,
-		CPUSwapTokens:    1 << 18, // ~256k tokens of host swap
 		MaxPrefillTokens: 8192,
 		ChunkSize:        512,
-		MaxDecodeBatch:   256,
 		Wind:             DefaultWindOptions(),
 	}
 	return cfg, nil
@@ -244,57 +218,57 @@ func DefaultConfig(m model.Config) (Config, error) {
 func DefaultWindOptions() WindOptions {
 	return WindOptions{
 		ThresholdFrac: 0.8,
-		KVSafetyFrac:  0.06,
 		Resched:       sched.DefaultReschedulePolicy(),
-		Backup:        sched.DefaultBackupPolicy(),
 	}
 }
 
 // validate rejects configurations that fillDefaults would otherwise mask
-// (negative counts silently becoming 1) or that would surface as a panic
-// or nonsense deep inside a run. It runs before fillDefaults, so zero
-// values that mean "use the default" are still checked for sign only —
-// except BlockSize, whose zero value has historically caused the
-// confusing kvcache construction failure this guards against.
+// (negative values silently becoming their default) or that would
+// surface as a panic or nonsense deep inside a run. It runs before
+// fillDefaults, so zero values that mean "use the default" pass.
 func (c *Config) validate() error {
-	// NaN slips past every range check below, and ±Inf past the sign ones.
+	r := c.Wind.Resched
+	// The negated comparison catches NaN, which slips past every range
+	// check, and -Inf; +Inf is checked apart.
 	for _, f := range []struct {
 		name string
 		v    float64
 	}{
-		{"ReserveFrac", c.ReserveFrac},
-		{"Wind.ThresholdFrac", c.Wind.ThresholdFrac},
-		{"Wind.KVSafetyFrac", c.Wind.KVSafetyFrac},
-		{"Shed.TTFTDeadline", float64(c.Shed.TTFTDeadline)},
+		{"SLO.TTFT", float64(c.SLO.TTFT)},
+		{"SLO.TPOT", float64(c.SLO.TPOT)},
+		{"NumPrefill", float64(c.NumPrefill)},
+		{"NumDecode", float64(c.NumDecode)},
+		{"MaxPrefillTokens", float64(c.MaxPrefillTokens)},
+		{"ChunkSize", float64(c.ChunkSize)},
 		{"Horizon", float64(c.Horizon)},
+		{"Wind.ThresholdFrac", c.Wind.ThresholdFrac},
+		{"Wind.Resched.LowWatermark", r.LowWatermark},
+		{"Wind.Resched.TargetFree", r.TargetFree},
+		{"Wind.Resched.DrainThresholdTokens", float64(r.DrainThresholdTokens)},
+		{"Shed.MaxQueueDepth", float64(c.Shed.MaxQueueDepth)},
+		{"Shed.TTFTDeadline", float64(c.Shed.TTFTDeadline)},
+		{"Stream.MaxRecords", float64(c.Stream.MaxRecords)},
 	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("serve: %s %v is not finite", f.name, f.v)
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("serve: %s %v must be finite and non-negative", f.name, f.v)
 		}
 	}
-	if c.NumPrefill < 0 {
-		return fmt.Errorf("serve: NumPrefill %d is negative", c.NumPrefill)
+	if err := c.PrefillPlace.Validate(c.Model); err != nil {
+		return fmt.Errorf("serve: PrefillPlace: %w", err)
 	}
-	if c.NumDecode < 0 {
-		return fmt.Errorf("serve: NumDecode %d is negative", c.NumDecode)
+	if err := c.DecodePlace.Validate(c.Model); err != nil {
+		return fmt.Errorf("serve: DecodePlace: %w", err)
 	}
-	if c.BlockSize <= 0 {
-		return fmt.Errorf("serve: BlockSize %d must be positive", c.BlockSize)
-	}
-	if c.ReserveFrac < 0 || c.ReserveFrac >= 1 {
-		return fmt.Errorf("serve: ReserveFrac %g outside [0,1)", c.ReserveFrac)
-	}
-	if c.Wind.ThresholdFrac < 0 {
-		return fmt.Errorf("serve: Wind.ThresholdFrac %g is negative", c.Wind.ThresholdFrac)
-	}
-	if c.Wind.KVSafetyFrac < 0 || c.Wind.KVSafetyFrac >= 1 {
-		return fmt.Errorf("serve: Wind.KVSafetyFrac %g outside [0,1)", c.Wind.KVSafetyFrac)
-	}
-	if c.Shed.MaxQueueDepth < 0 {
-		return fmt.Errorf("serve: Shed.MaxQueueDepth %d is negative", c.Shed.MaxQueueDepth)
-	}
-	if c.Shed.TTFTDeadline < 0 {
-		return fmt.Errorf("serve: Shed.TTFTDeadline %v is negative", c.Shed.TTFTDeadline)
+	// A set rescheduling policy replaces the default whole, so each of its
+	// fields must be in range.
+	if r != (sched.ReschedulePolicy{}) {
+		if r.LowWatermark >= r.TargetFree || r.TargetFree > 1 {
+			return fmt.Errorf("serve: Wind.Resched.LowWatermark %g and Wind.Resched.TargetFree %g must satisfy LowWatermark < TargetFree <= 1",
+				r.LowWatermark, r.TargetFree)
+		}
+		if r.MaxConcurrentMigrations < 1 {
+			return fmt.Errorf("serve: Wind.Resched.MaxConcurrentMigrations %d must be at least 1", r.MaxConcurrentMigrations)
+		}
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
@@ -323,23 +297,11 @@ func (c *Config) fillDefaults() {
 	if c.NumDecode <= 0 {
 		c.NumDecode = 1
 	}
-	if c.BlockSize <= 0 {
-		c.BlockSize = 16
-	}
-	if c.ReserveFrac <= 0 {
-		c.ReserveFrac = 0.1
-	}
-	if c.CPUSwapTokens <= 0 {
-		c.CPUSwapTokens = 1 << 18
-	}
 	if c.MaxPrefillTokens <= 0 {
 		c.MaxPrefillTokens = 8192
 	}
 	if c.ChunkSize <= 0 {
 		c.ChunkSize = 512
-	}
-	if c.MaxDecodeBatch <= 0 {
-		c.MaxDecodeBatch = 256
 	}
 	if c.Horizon <= 0 {
 		c.Horizon = sim.Seconds(7200)
@@ -347,16 +309,7 @@ func (c *Config) fillDefaults() {
 	if c.Wind.ThresholdFrac <= 0 {
 		c.Wind.ThresholdFrac = 0.8
 	}
-	if c.Wind.KVSafetyFrac <= 0 {
-		c.Wind.KVSafetyFrac = 0.06
-	}
 	if c.Wind.Resched == (sched.ReschedulePolicy{}) {
 		c.Wind.Resched = sched.DefaultReschedulePolicy()
-	}
-	if c.Wind.Backup == (sched.BackupPolicy{}) {
-		c.Wind.Backup = sched.DefaultBackupPolicy()
-	}
-	if c.Wind.RefDecodeBatch.Empty() {
-		c.Wind.RefDecodeBatch = perf.DecodeOnly(16, 16*c.Model.MaxContext/2)
 	}
 }

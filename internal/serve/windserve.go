@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"windserve/internal/engine"
+	"windserve/internal/perf"
 	"windserve/internal/sched"
 	"windserve/internal/sim"
 	"windserve/internal/trace"
@@ -40,11 +41,11 @@ func RunWindServeFrom(cfg Config, src workload.Source) (*Result, error) {
 	return w.run(src), nil
 }
 
+// kvSafetyFrac keeps this fraction of decode KV free of assists.
+const kvSafetyFrac = 0.06
+
 // newWindServe plans the cluster and wires the Global Scheduler onto it.
 func newWindServe(cfg Config) (*windState, error) {
-	if cfg.Elastic {
-		return nil, fmt.Errorf("serve: WindServe manages roles through its Global Scheduler; Elastic applies to DistServe-style clusters only")
-	}
 	r, err := newRunner(cfg)
 	if err != nil {
 		return nil, err
@@ -84,13 +85,16 @@ func newWindServe(cfg Config) (*windState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: profiling: %w", err)
 	}
-	budget := sched.AssistBudget(d.decodes[0].CM(), cfg.Wind.RefDecodeBatch, cfg.SLO.TPOT)
+	// The assist budget is sized for a reference decode batch of 16
+	// requests at half the model's context.
+	ref := perf.DecodeOnly(16, 16*cfg.Model.MaxContext/2)
+	budget := sched.AssistBudget(d.decodes[0].CM(), ref, cfg.SLO.TPOT)
 	dkv := d.decodes[0].KV()
 	w.coord = &sched.Coordinator{
 		Prof:           prof,
 		Thrd:           sim.Duration(cfg.Wind.ThresholdFrac * cfg.SLO.TTFT.Seconds()),
 		BudgetTokens:   budget,
-		KVSafetyTokens: int(cfg.Wind.KVSafetyFrac * float64(dkv.TotalBlocks()*dkv.BlockSize())),
+		KVSafetyTokens: int(kvSafetyFrac * float64(dkv.TotalBlocks()*dkv.BlockSize())),
 	}
 	prof.WarmStartTransfer(d.nominalP2DRate())
 	return w, nil
@@ -130,8 +134,6 @@ func (w *windState) systemName() string {
 		return "WindServe-no-split"
 	case w.cfg.Wind.DisableResched:
 		return "WindServe-no-resche"
-	case w.cfg.Wind.DisableDispatch:
-		return "WindServe-no-dispatch"
 	case w.cfg.Wind.DisableAsyncTransfer:
 		return "WindServe-no-async"
 	default:
@@ -176,7 +178,7 @@ func (w *windState) freestPrefillIdx() int {
 // submit routes an arrival through Dynamic Prefill Dispatch (Algorithm 1).
 func (w *windState) submit(q *engine.Req) {
 	pi := w.leastLoadedPrefillIdx()
-	if dj := w.d.pickDecode(); !w.cfg.Wind.DisableDispatch && dj >= 0 {
+	if dj := w.d.pickDecode(); dj >= 0 {
 		dec := w.d.ins[dj]
 		in := sched.DispatchInput{
 			NewPromptTokens:      q.W.PromptTokens,
@@ -575,12 +577,11 @@ func (w *windState) maybeBackup(j int, decodeFreeFrac float64) {
 		return // keep backups off the critical path of migrations
 	}
 	pkv := w.d.prefills[pi].KV()
-	pol := w.cfg.Wind.Backup
 	prefillFree := 1 - pkv.Utilization()
-	if !pol.ShouldBackup(decodeFreeFrac, prefillFree) {
+	if !sched.ShouldBackup(decodeFreeFrac, prefillFree) {
 		return
 	}
-	cand := pol.PickBackupCandidate(w.d.decodes[j].Running(), w.backupInFlight)
+	cand := sched.PickBackupCandidate(w.d.decodes[j].Running(), w.backupInFlight)
 	if cand == nil {
 		return
 	}
@@ -774,12 +775,7 @@ func (w *windState) rePrefill(q *engine.Req) {
 	delete(w.d.prefillAt, q.W.ID)
 	delete(w.d.decodeAt, q.W.ID)
 	delete(w.backupInFlight, q.W.ID)
-	q.PrefillDone = 0
-	q.PrefixHit = 0
-	q.Generated = 0
-	q.Assist = false
-	q.Migrating = false
-	q.BackupTokens = 0
+	q.Restart()
 	w.r.markRecovered(q)
 	w.submit(q)
 }

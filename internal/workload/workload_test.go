@@ -265,6 +265,24 @@ func FuzzTraceReader(f *testing.F) {
 	})
 }
 
+// FuzzScenarioByName requires a lookup to return either the scenario
+// whose name is exactly the input or an error — never a near match, a
+// zero scenario without an error, or a panic.
+func FuzzScenarioByName(f *testing.F) {
+	for _, name := range ScenarioNames() {
+		f.Add(name)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		sc, err := ScenarioByName(name)
+		if err == nil && sc.Name != name {
+			t.Fatalf("ScenarioByName(%q) returned scenario %q", name, sc.Name)
+		}
+		if err != nil && sc.Name != "" {
+			t.Fatalf("ScenarioByName(%q) returned scenario %q with error %v", name, sc.Name, err)
+		}
+	})
+}
+
 func TestLoadTraceRejectsUnsorted(t *testing.T) {
 	bad := []Request{
 		{ID: 1, Arrival: 5, PromptTokens: 8, OutputTokens: 2},
