@@ -108,9 +108,11 @@ type Instance struct {
 	busyUntil   sim.Time
 	stallUntil  sim.Time // swap transfers stall the next iteration
 	kickPending bool
-	// down marks a crashed instance: the iteration loop refuses to run
-	// and epoch invalidates completions of passes that were in flight at
-	// crash time (their closures compare epochs and bail).
+	kickFn      func() // Kick's event body, built once
+	// down marks a crashed instance: the iteration loop refuses to run.
+	// Crash bumps epoch; each pass in flight remembers the epoch it
+	// started in (passPlan.epoch, assistPass.epoch), so its completion
+	// events bail when they find the instance has crashed since.
 	down  bool
 	epoch uint64
 	// slow multiplies pass durations (transient GPU slowdown fault);
@@ -127,6 +129,10 @@ type Instance struct {
 
 	assistActive []*Req // SBD pass in flight (empty when stream 2 idle)
 	assistBatch  perf.Batch
+	// assist is the SBD stream's pass object, reused pass after pass.
+	// Crash drops it, since its completion event is still pending, and
+	// the next assist builds a fresh one.
+	assist *assistPass
 
 	freePlans []*passPlan // applied plans, reused by formBatch
 
@@ -152,7 +158,9 @@ func NewInstance(s *sim.Simulator, cfg Config, hooks Hooks) (*Instance, error) {
 	if cfg.AssistBatchTokens <= 0 {
 		cfg.AssistBatchTokens = cfg.MaxPrefillTokens
 	}
-	return &Instance{cfg: cfg, sim: s, hooks: hooks}, nil
+	ins := &Instance{cfg: cfg, sim: s, hooks: hooks}
+	ins.kickFn = ins.kicked
+	return ins, nil
 }
 
 // Name returns the instance name.
@@ -266,6 +274,7 @@ func (ins *Instance) Crash() []*Req {
 	ins.prefillQ, ins.assistQ, ins.assistActive = nil, nil, nil
 	ins.admitQ, ins.running, ins.swapped = nil, nil, nil
 	ins.assistBatch = perf.Batch{}
+	ins.assist = nil
 	ins.cfg.KV.Reset()
 	return orphans
 }
@@ -422,10 +431,13 @@ func (ins *Instance) Kick() {
 	if now := ins.sim.Now(); ins.stallUntil > now && !ins.busy {
 		delay = ins.stallUntil.Sub(now)
 	}
-	ins.sim.Schedule(delay, func() {
-		ins.kickPending = false
-		ins.step()
-	})
+	ins.sim.Schedule(delay, ins.kickFn)
+}
+
+// kicked is the event Kick schedules: one scheduling pass.
+func (ins *Instance) kicked() {
+	ins.kickPending = false
+	ins.step()
 }
 
 func (ins *Instance) step() {
@@ -469,35 +481,73 @@ func (ins *Instance) step() {
 			ins.hooks.OnDecodeStart(r)
 		}
 	}
-	epoch := ins.epoch
-	ins.sim.Schedule(initiation, func() {
-		if ins.epoch != epoch {
-			return // crashed mid-pass; Crash already reset busy
-		}
-		ins.busy = false
-		ins.Kick()
-	})
-	ins.sim.Schedule(dur, func() {
-		if ins.epoch != epoch {
-			return // crashed mid-pass; the pass's effects are lost
-		}
-		ins.inFlight--
-		ins.apply(plan)
-		if ins.hooks.OnIterationEnd != nil {
-			ins.hooks.OnIterationEnd()
-		}
-		ins.Kick()
-	})
+	plan.epoch = ins.epoch
+	if initiation == dur {
+		// The release and the end share a timestamp, and back-to-back
+		// events would take consecutive sequence numbers, so nothing
+		// could fire between them: one event running both bodies in
+		// order fires everything else in the same order.
+		ins.sim.Schedule(dur, plan.passFn)
+		return
+	}
+	ins.sim.Schedule(initiation, plan.releaseFn)
+	ins.sim.Schedule(dur, plan.endFn)
 }
 
 // passPlan remembers what a pass will do so apply() can commit it. Plans
-// are recycled through Instance.freePlans, so a steady pass allocates no
-// slices; each pass in flight (pipelined PP>1 prefills) holds its own.
+// are recycled through Instance.freePlans, so a steady pass allocates
+// nothing; each pass in flight (pipelined PP>1 prefills) holds its own.
+// A plan is recycled only once its events have fired: a pass a crash
+// invalidated never reaches apply, so its plan, with the stale epoch its
+// pending events compare, is dropped rather than reused.
 type passPlan struct {
+	ins         *Instance
+	epoch       uint64 // the instance's epoch when the pass started
 	prefillSegs []prefillSeg
 	decodes     []*Req
 	newDecodes  []*Req            // first decode step this pass
 	prefill     []perf.PrefillSeg // backing array of the batch's Prefill
+
+	// The pass's event bodies, method values built with the plan.
+	releaseFn, endFn, passFn func()
+}
+
+func newPassPlan(ins *Instance) *passPlan {
+	p := &passPlan{ins: ins}
+	p.releaseFn, p.endFn, p.passFn = p.release, p.end, p.releaseAndEnd
+	return p
+}
+
+// release ends the pass's initiation interval: the engine may start its
+// next pass.
+func (p *passPlan) release() {
+	ins := p.ins
+	if ins.epoch != p.epoch {
+		return // crashed mid-pass; Crash already reset busy
+	}
+	ins.busy = false
+	ins.Kick()
+}
+
+// end commits the pass's effects at its full latency.
+func (p *passPlan) end() {
+	ins := p.ins
+	if ins.epoch != p.epoch {
+		return // crashed mid-pass; the pass's effects are lost
+	}
+	ins.inFlight--
+	ins.apply(p)
+	if ins.hooks.OnIterationEnd != nil {
+		ins.hooks.OnIterationEnd()
+	}
+	ins.Kick()
+}
+
+// releaseAndEnd is the single event of a pass whose initiation interval
+// is its whole latency.
+func (p *passPlan) releaseAndEnd() {
+	p.release()
+	p.end()
 }
 
 // recyclePlan empties the plan, dropping its request pointers so finished
@@ -566,7 +616,12 @@ func (ins *Instance) maybeStartAssist() {
 	if !ins.cfg.SBD || len(ins.assistActive) > 0 || len(ins.assistQ) == 0 {
 		return
 	}
-	var batch perf.Batch
+	if ins.assist == nil {
+		ins.assist = &assistPass{ins: ins}
+		ins.assist.doneFn = ins.assist.done
+	}
+	ins.assistActive = ins.assist.reqs[:0]
+	batch := perf.Batch{Prefill: ins.assist.segs[:0]}
 	budget := ins.cfg.AssistBatchTokens
 	for len(ins.assistQ) > 0 {
 		r := ins.assistQ[0]
@@ -587,6 +642,7 @@ func (ins *Instance) maybeStartAssist() {
 		}
 	}
 	ins.assistBatch = batch
+	ins.assist.reqs, ins.assist.segs = ins.assistActive, batch.Prefill
 	start := ins.sim.Now()
 	dur := ins.slowed(ins.cfg.CM.SBDPrefillTime(batch, ins.RunningShape()))
 	cost := ins.cfg.CM.BatchCost(batch)
@@ -596,31 +652,49 @@ func (ins *Instance) maybeStartAssist() {
 		ins.cfg.Tracer.Add(ins.cfg.Name+"/stream2", trace.KindSBDPrefill, start, start.Add(dur),
 			fmt.Sprintf("%d reqs n=%d", len(ins.assistActive), batch.PrefillTokens()))
 	}
+	ins.assist.epoch = ins.epoch
+	ins.sim.Schedule(dur, ins.assist.doneFn)
+}
+
+// assistPass is the SBD stream's in-flight pass. Like a passPlan, it
+// carries the epoch its pass started in, and it is reused only after its
+// completion event has fired.
+type assistPass struct {
+	ins    *Instance
+	epoch  uint64
+	reqs   []*Req            // backing array of Instance.assistActive
+	segs   []perf.PrefillSeg // backing array of Instance.assistBatch.Prefill
+	doneFn func()            // done as a method value, built once
+}
+
+// done completes the assist pass: every prompt in it is prefilled.
+func (p *assistPass) done() {
+	ins := p.ins
+	if ins.epoch != p.epoch {
+		return // crashed mid-pass; the assist batch was orphaned
+	}
 	done := ins.assistActive
-	epoch := ins.epoch
-	ins.sim.Schedule(dur, func() {
-		if ins.epoch != epoch {
-			return // crashed mid-pass; the assist batch was orphaned
+	ins.assistActive = nil
+	for _, r := range done {
+		if r.Phase == PhaseAborted {
+			continue // cancelled mid-pass; KV already released
 		}
-		ins.assistActive = nil
-		for _, r := range done {
-			if r.Phase == PhaseAborted {
-				continue // cancelled mid-pass; KV already released
-			}
-			r.PrefillDone = r.W.PromptTokens
-			ins.finishPrefill(r)
-		}
-		ins.Kick()
-	})
+		r.PrefillDone = r.W.PromptTokens
+		ins.finishPrefill(r)
+	}
+	clear(done) // p.reqs shares the array; drop the finished requests
+	ins.Kick()
 }
 
 // formBatch builds the next main-stream pass under FCFS with continuous
 // batching.
 func (ins *Instance) formBatch() (perf.Batch, *passPlan) {
-	plan := &passPlan{}
+	var plan *passPlan
 	if n := len(ins.freePlans); n > 0 {
 		plan = ins.freePlans[n-1]
 		ins.freePlans = ins.freePlans[:n-1]
+	} else {
+		plan = newPassPlan(ins)
 	}
 	b := perf.Batch{DecodeReqs: len(ins.running)}
 	for _, r := range ins.running {
@@ -654,7 +728,7 @@ func (ins *Instance) fillWholePrompts(plan *passPlan) {
 		if n > budget && len(plan.prefillSegs) > 0 {
 			break // keep FCFS: stop at the first request that doesn't fit
 		}
-		if !ins.ensureKV(r) {
+		if !ins.AllocatePrefillKV(r) {
 			break // head-of-line blocks until space frees
 		}
 		if rem := r.PrefillRemaining(); rem < n {
@@ -681,7 +755,7 @@ func (ins *Instance) fillChunked(plan *passPlan) {
 		if r.inPass {
 			continue
 		}
-		if !ins.ensureKV(r) {
+		if !ins.AllocatePrefillKV(r) {
 			break
 		}
 		n := r.PrefillRemaining()
@@ -694,11 +768,6 @@ func (ins *Instance) fillChunked(plan *passPlan) {
 		ins.startPrefillOnce(r)
 		budget -= n
 	}
-}
-
-// ensureKV allocates prompt+1 tokens for a request about to prefill here.
-func (ins *Instance) ensureKV(r *Req) bool {
-	return ins.AllocatePrefillKV(r)
 }
 
 // AllocatePrefillKV reserves KV for a request about to prefill on this

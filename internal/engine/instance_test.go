@@ -568,3 +568,127 @@ func TestNewInstanceValidation(t *testing.T) {
 		t.Fatal("missing CM/KV accepted")
 	}
 }
+
+// TestCrashMidPipelineRestoreCompletesOnce crashes a PP-2 prefill
+// instance while two pipelined prefill passes are in flight, restores it
+// at once and re-enqueues the orphans. The crashed passes' end events
+// fire while the new passes run; they must not commit anything. Every
+// request must then complete exactly once, with exactly one first token
+// that lands a full pass latency after its last prefill start.
+func TestCrashMidPipelineRestoreCompletesOnce(t *testing.T) {
+	first := map[uint64]int{}
+	firstAt := map[uint64]sim.Time{}
+	startAt := map[uint64]sim.Time{}
+	h := newHarness(t, 1<<20, 0, func(c *Config) {
+		c.CM = perf.MustNew(tinyModel(), gpu.A800, perf.Placement{TP: 1, PP: 2}, gpu.NVLinkBridge, perf.DefaultParams())
+		c.MaxPrefillTokens = 600 // one prompt per pass
+	}, func(h *harness, hk *Hooks) {
+		hk.OnPrefillStart = func(r *Req) { startAt[r.W.ID] = h.s.Now() }
+		hk.OnFirstToken = func(r *Req) {
+			first[r.W.ID]++
+			firstAt[r.W.ID] = h.s.Now()
+		}
+	})
+	const n = 6
+	for i := 1; i <= n; i++ {
+		h.ins.EnqueuePrefill(req(uint64(i), 512, 3))
+	}
+	for h.ins.inFlight < 2 {
+		if !h.s.Step() {
+			t.Fatal("simulator drained before two passes were in flight")
+		}
+	}
+	if len(first) != 0 {
+		t.Fatalf("first tokens %v before the crash; the test needs none yet", first)
+	}
+	orphans := h.ins.Crash()
+	if len(orphans) != n {
+		t.Fatalf("crash returned %d orphans, want %d", len(orphans), n)
+	}
+	h.ins.Restore()
+	for _, r := range orphans {
+		r.Restart()
+		h.ins.EnqueuePrefill(r)
+	}
+	h.s.RunAll()
+
+	dur := h.ins.CM().IterTime(perf.PrefillOnly(512))
+	done := map[uint64]int{}
+	for _, id := range h.completed {
+		done[id]++
+	}
+	for i := uint64(1); i <= n; i++ {
+		if done[i] != 1 || first[i] != 1 {
+			t.Errorf("request %d: completed %d times, %d first tokens; want 1 and 1", i, done[i], first[i])
+		}
+		if got := firstAt[i].Sub(startAt[i]); got < dur*(1-1e-9) {
+			t.Errorf("request %d: first token %v after its prefill start, want the pass latency %v", i, got, dur)
+		}
+	}
+}
+
+// TestCrashMidAssistStaleEventDoesNotFinishNewPass crashes a decode
+// instance mid-assist and restores it, then starts a new assist that
+// ends after the crashed assist's completion event. That stale event
+// must neither finish the new pass early nor give the orphaned request a
+// first token.
+func TestCrashMidAssistStaleEventDoesNotFinishNewPass(t *testing.T) {
+	setup := func() (*harness, map[uint64][]sim.Time) {
+		first := map[uint64][]sim.Time{}
+		h := newHarness(t, 1<<20, 0, func(c *Config) {
+			c.AllowPrefill = false
+			c.SBD = true
+		}, func(h *harness, hk *Hooks) {
+			hk.OnFirstToken = func(r *Req) { first[r.W.ID] = append(first[r.W.ID], h.s.Now()) }
+		})
+		return h, first
+	}
+	assist := func(h *harness, id uint64) *Req {
+		a := req(id, 1024, 1)
+		if err := h.kv.Allocate(a.KVID(), 1025); err != nil {
+			t.Fatal(err)
+		}
+		h.ins.EnqueueAssist(a)
+		return a
+	}
+
+	// Reference: one uncrashed assist of this size takes d.
+	ref, refFirst := setup()
+	assist(ref, 1)
+	ref.s.RunAll()
+	if len(refFirst[1]) != 1 {
+		t.Fatalf("reference assist: first tokens %v", refFirst[1])
+	}
+	d := refFirst[1][0].Sub(0)
+
+	h, first := setup()
+	assist(h, 1)
+	for !h.ins.AssistActive() {
+		if !h.s.Step() {
+			t.Fatal("assist never started")
+		}
+	}
+	crashAt := h.s.Now()
+	if orphans := h.ins.Crash(); len(orphans) != 1 {
+		t.Fatalf("crash returned %d orphans, want the active assist", len(orphans))
+	}
+	h.ins.Restore()
+	// The new assist starts halfway through the crashed one, so it ends
+	// after the stale completion event at crashAt+d.
+	startAt := crashAt.Add(d / 2)
+	h.s.At(startAt, func() { assist(h, 2) })
+	h.s.RunAll()
+
+	if len(first[1]) != 0 {
+		t.Errorf("orphaned assist got first tokens at %v", first[1])
+	}
+	if len(first[2]) != 1 {
+		t.Fatalf("new assist: first tokens %v, want exactly one", first[2])
+	}
+	if got, want := first[2][0], startAt.Add(d); got < want*(1-1e-12) {
+		t.Errorf("new assist finished at %v, before its full latency (%v)", got, want)
+	}
+	if h.ins.AssistActive() {
+		t.Error("assist still active after drain")
+	}
+}

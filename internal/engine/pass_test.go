@@ -128,8 +128,8 @@ func TestRunningMembershipInvariant(t *testing.T) {
 
 // BenchmarkEnginePass times one decode pass — step (batch formation,
 // cost model, scheduling) through apply (token commit and one token of KV
-// growth per request) — at 16 and 256 running decodes. allocs/op must not
-// depend on the batch size: the pass plan is recycled.
+// growth per request) — at 16 and 256 running decodes. A pass allocates
+// nothing: the pass plan, with its event callbacks, is recycled.
 func BenchmarkEnginePass(b *testing.B) {
 	for _, n := range []int{16, 256} {
 		b.Run(fmt.Sprintf("decodes=%d", n), func(b *testing.B) {

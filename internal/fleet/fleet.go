@@ -232,6 +232,12 @@ type fleet struct {
 	// not its (delay-later) application time.
 	completions []int
 
+	// deadlines and failoverTimers queue the TTFT-deadline and failover
+	// timers: each has a constant offset, so one armed event per queue
+	// covers every request. Nil when the offset is 0 (disabled).
+	deadlines      *sim.Timers[uint64]
+	failoverTimers *sim.Timers[failoverKey]
+
 	// arrival streaming (the runner pattern: one pending event).
 	src         workload.Source
 	arrivalFn   func()
@@ -354,6 +360,12 @@ func RunFrom(cfg Config, src workload.Source) (*Result, error) {
 		f.rc = rc
 	}
 
+	if cfg.TTFTDeadline > 0 {
+		f.deadlines = sim.NewTimers(f.s, f.deadlineFired)
+	}
+	if cfg.FailoverTimeout > 0 {
+		f.failoverTimers = sim.NewTimers(f.s, f.failoverTimerFired)
+	}
 	f.src = src
 	f.arrivalFn = f.arrive
 	if w, ok := src.Next(); ok {
@@ -457,15 +469,18 @@ func (f *fleet) admit(w workload.Request) {
 	st := &reqState{w: w, replica: -1}
 	f.state[w.ID] = st
 	f.rc.kick()
-	if dl := f.cfg.TTFTDeadline; dl > 0 {
-		id := w.ID
-		f.s.Schedule(dl, func() {
-			if f.rec.InFlight(id) && !f.rec.HasFirstToken(id) {
-				f.abort(id, "deadline-abort")
-			}
-		})
+	if f.deadlines != nil {
+		f.deadlines.Add(f.cfg.TTFTDeadline, w.ID)
 	}
 	f.route(st, "")
+}
+
+// deadlineFired aborts a request still without a first token at its TTFT
+// deadline.
+func (f *fleet) deadlineFired(id uint64) {
+	if f.rec.InFlight(id) && !f.rec.HasFirstToken(id) {
+		f.abort(id, "deadline-abort")
+	}
 }
 
 // route places a request on a healthy replica (or parks it). reason
@@ -490,35 +505,43 @@ func (f *fleet) route(st *reqState, reason string) {
 	f.armFailoverTimer(st.w.ID)
 }
 
+// failoverKey names one armed failover timer: the request and the
+// timerSeq it was armed under, which a re-route or eviction invalidates.
+type failoverKey struct {
+	id  uint64
+	seq int
+}
+
 // armFailoverTimer hedges a routed request: if it still has no first
 // token when the (possibly brown-out-stretched) timeout fires, it moves.
 func (f *fleet) armFailoverTimer(id uint64) {
-	if f.cfg.FailoverTimeout <= 0 {
+	if f.failoverTimers == nil {
 		return
 	}
 	st, ok := f.state[id]
 	if !ok {
 		return
 	}
-	seq := st.timerSeq
-	f.s.Schedule(f.cfg.FailoverTimeout, func() { f.failoverTimerFired(id, seq) })
+	f.failoverTimers.Add(f.cfg.FailoverTimeout, failoverKey{id: id, seq: st.timerSeq})
 }
 
-func (f *fleet) failoverTimerFired(id uint64, seq int) {
-	st, ok := f.state[id]
-	if !ok || st.timerSeq != seq || st.replica < 0 || st.pendingEvict {
+func (f *fleet) failoverTimerFired(k failoverKey) {
+	st, ok := f.state[k.id]
+	if !ok || st.timerSeq != k.seq || st.replica < 0 || st.pendingEvict {
 		return
 	}
-	if !f.rec.InFlight(id) || f.rec.HasFirstToken(id) {
+	if !f.rec.InFlight(k.id) || f.rec.HasFirstToken(k.id) {
 		return
 	}
 	f.updateBrownout()
 	if f.brownout {
 		// Deferred, not cancelled: re-check after the slack interval. If
-		// the brown-out has ended by then the request finally moves.
+		// the brown-out has ended by then the request finally moves. The
+		// re-check is rare and off the constant offset, so it is a direct
+		// event rather than a queued timer.
 		extra := f.cfg.FailoverTimeout * (brownoutSlack - 1)
 		if extra > 0 {
-			f.s.Schedule(extra, func() { f.failoverTimerFired(id, seq) })
+			f.s.Schedule(extra, func() { f.failoverTimerFired(k) })
 			return
 		}
 	}

@@ -53,6 +53,10 @@ type runner struct {
 
 	aborted  int
 	rejected int
+	// deadlines queues the TTFT-deadline timers: their offset is
+	// constant, so one armed event covers every request. Nil when
+	// deadline aborts are off.
+	deadlines *sim.Timers[uint64]
 
 	// queueDepth reports how many requests are waiting for prefill across
 	// all instances — the admission-control signal. Systems set it before
@@ -95,14 +99,18 @@ func newRunnerOn(s *sim.Simulator, led Ledger, cfg Config) (*runner, error) {
 	}
 	cfg.fillDefaults()
 	rec, _ := led.(*metrics.Recorder)
-	return &runner{
+	r := &runner{
 		s:         s,
 		led:       led,
 		rec:       rec,
 		cfg:       cfg,
 		live:      make(map[uint64]*engine.Req),
 		recovered: make(map[uint64]bool),
-	}, nil
+	}
+	if cfg.Shed.TTFTDeadline > 0 {
+		r.deadlines = sim.NewTimers(s, r.deadlineFired)
+	}
+	return r, nil
 }
 
 // scheduleStream feeds a request source into the system via submit,
@@ -147,17 +155,20 @@ func (r *runner) admit(w workload.Request) {
 	}
 	q := engine.NewReq(w)
 	r.live[w.ID] = q
-	if dl := r.cfg.Shed.TTFTDeadline; dl > 0 {
-		id := w.ID
-		r.s.Schedule(dl, func() {
-			if r.led.InFlight(id) && !r.led.HasFirstToken(id) {
-				r.abortReq(id)
-			}
-		})
+	if r.deadlines != nil {
+		r.deadlines.Add(r.cfg.Shed.TTFTDeadline, w.ID)
 	}
 	r.submit(q)
 	if r.cfg.Tracer != nil && r.queueDepth != nil {
 		r.cfg.Tracer.Counter("cluster/queue_depth", r.s.Now(), float64(r.queueDepth()))
+	}
+}
+
+// deadlineFired aborts a request still without a first token at its TTFT
+// deadline.
+func (r *runner) deadlineFired(id uint64) {
+	if r.led.InFlight(id) && !r.led.HasFirstToken(id) {
+		r.abortReq(id)
 	}
 }
 

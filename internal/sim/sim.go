@@ -167,9 +167,15 @@ func (s *Simulator) At(t Time, fn func()) {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	ev := s.alloc()
-	ev.at, ev.seq, ev.fn = t, s.seq, fn
+	s.push(t, s.seq, fn)
 	s.seq++
+}
+
+// push inserts an event at t under sequence number seq. At takes the
+// next number; Timers arms its head under the number it reserved.
+func (s *Simulator) push(t Time, seq uint64, fn func()) {
+	ev := s.alloc()
+	ev.at, ev.seq, ev.fn = t, seq, fn
 	s.q.push(ev)
 }
 

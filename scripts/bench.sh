@@ -50,8 +50,8 @@ if [[ $smoke -eq 1 ]]; then
     scale_args=(-n 20000 ext-fleet-scale)
 fi
 
-echo "== micro-benchmarks (sim, metrics, perf, stats, engine) ==" >&2
-go test -run '^$' -bench 'SimulatorScheduleFire|Summarize|OpenIDs|IterTime|ServeSteady|P2Add|PercentilesOf|EnginePass' \
+echo "== micro-benchmarks (sim, timers, metrics, perf, stats, engine) ==" >&2
+go test -run '^$' -bench 'SimulatorScheduleFire|Summarize|OpenIDs|IterTime|ServeSteady|Timers|P2Add|PercentilesOf|EnginePass' \
     -benchmem -benchtime "$benchtime" ./internal/sim ./internal/metrics ./internal/perf ./internal/stats ./internal/engine | tee "$micro_txt" >&2
 
 if [[ $smoke -eq 1 ]]; then
